@@ -3,7 +3,6 @@
 from .exact import SparsePermutation, ara_enumerate, raccess
 from .fptas import IntervalHit, aia_enumerate, bernoulli_less, iaccess
 from .fpras import PrefixDictionary, axa_enumerate, xaccess
-from .interval_tree import BannedIntervalTree, OverlapViolation, generate_seed
 from .parallel import (ParallelResult, RangeAssignment, master_phase1,
                        prefill_target, run_parallel, slave_session)
 from .problem import (BudgetExceeded, CountingOracles, SelfReducibleProblem,
@@ -13,16 +12,16 @@ from .problems import (AllBitstrings, Knapsack, KnapsackInstance,
                        generate_knapsack)
 from .record import EmissionRecord, VirtualClock
 from .swor import swor_enumerate
+from .trie import SelfReductionTrie
 
 __all__ = [
-    "AllBitstrings", "BannedIntervalTree", "BudgetExceeded",
-    "CountingOracles", "EmissionRecord", "IntervalHit", "Knapsack",
-    "KnapsackInstance", "OverlapViolation", "ParallelResult",
+    "AllBitstrings", "BudgetExceeded", "CountingOracles", "EmissionRecord",
+    "IntervalHit", "Knapsack", "KnapsackInstance", "ParallelResult",
     "PrefixDictionary", "RangeAssignment", "SelfReducibleProblem",
-    "SimulatedOracleConfig", "SimulatedOracles", "SparsePermutation",
-    "VirtualClock", "aia_enumerate", "ara_enumerate", "axa_enumerate",
-    "bernoulli_less", "brute_force_solutions", "generate_knapsack",
-    "generate_seed", "iaccess", "master_phase1", "prefill_target",
+    "SelfReductionTrie", "SimulatedOracleConfig", "SimulatedOracles",
+    "SparsePermutation", "VirtualClock", "aia_enumerate", "ara_enumerate",
+    "axa_enumerate", "bernoulli_less", "brute_force_solutions",
+    "generate_knapsack", "iaccess", "master_phase1", "prefill_target",
     "raccess", "run_parallel", "slave_session", "swor_enumerate",
     "verify_self_reducibility", "xaccess",
 ]

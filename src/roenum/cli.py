@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, enumerate, parallel, uniformity, profile, verify.
-Exit codes: 0 pass, 1 assertion/statistical failure, 2 usage error.
+Exit codes: 0 pass, 1 assertion/statistical failure, 2 usage error or an
+unreadable or malformed instance file.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from .problems import (SimulatedOracleConfig, SimulatedOracles,
 from .record import EmissionRecord
 
 
-def _load_instance(path: str):
-    return parse_instance(Path(path).read_text())
-
-
 def _write(args, text: str):
     if args.out:
         Path(args.out).write_text(text)
@@ -31,16 +28,17 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _oracles(problem, args):
+def _oracles(problem, args, nonce: int = 0):
     cfg = SimulatedOracleConfig(
         noise_mode=getattr(args, "noise", "none"),
         seed=args.seed,
-        nonce=getattr(args, "nonce", 0))
+        nonce=nonce)
     return SimulatedOracles(problem, cfg)
 
 
-def _run_one(problem, x, args, seed: int) -> stats.RunReport:
-    sim = _oracles(problem, args)
+def _run_one(problem, x, args, seed: int, nonce: int = 0) -> stats.RunReport:
+    """One session; `nonce` salts the FPRAS failure draws of the session."""
+    sim = _oracles(problem, args, nonce)
     rng = random.Random(seed)
     algo = args.algo
     if algo == "exact":
@@ -68,14 +66,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    problem, x = _load_instance(args.instance)
+    problem, x = args.loaded
     report = _run_one(problem, x, args, args.seed)
     _write(args, stats.emissions_csv(report))
     return 0
 
 
 def cmd_parallel(args) -> int:
-    problem, x = _load_instance(args.instance)
+    problem, x = args.loaded
     if args.algo == "pswor":
         sim = _oracles(problem, args)
         outputs, draws, makespan = parallel.pswor_run(
@@ -108,8 +106,8 @@ def cmd_parallel(args) -> int:
 
 
 def cmd_uniformity(args) -> int:
-    problem, x = _load_instance(args.instance)
-    runs = [_run_one(problem, x, args, args.seed + k)
+    problem, x = args.loaded
+    runs = [_run_one(problem, x, args, args.seed + k, nonce=k)
             for k in range(args.runs)]
     try:
         result = stats.uniformity_test(runs, mode=args.mode)
@@ -122,14 +120,14 @@ def cmd_uniformity(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    problem, x = _load_instance(args.instance)
+    problem, x = args.loaded
     report = _run_one(problem, x, args, args.seed)
     _write(args, stats.profile_csv(stats.delay_profile(report, args.window)))
     return 0
 
 
 def cmd_verify(args) -> int:
-    problem, x = _load_instance(args.instance)
+    problem, x = args.loaded
     ok = verify_self_reducibility(problem, x, args.max_count)
     sol = brute_force_solutions(problem, x)
     print(f"self-reducible={ok} solutions={len(sol)}")
@@ -209,6 +207,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
+    if getattr(args, "instance", None) is not None:
+        try:
+            args.loaded = parse_instance(Path(args.instance).read_text())
+        except (ValueError, OSError) as err:
+            print(f"roenum: {args.instance}: {err}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

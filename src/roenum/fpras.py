@@ -14,13 +14,14 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .fptas import EmptyBranch, IntervalHit, NonTerminating, bernoulli_less
-from .interval_tree import BannedIntervalTree, generate_seed
+from .fptas import bernoulli_less
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord, VirtualClock
+from .trie import IntervalHit, SelfReductionTrie, accuracy, enumerate_trie
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
@@ -59,45 +60,50 @@ class PrefixDictionary:
         return {p: self.entries[p] for p in prefixes if p in self.entries}
 
 
-def xaccess(problem: SelfReducibleProblem, fpras: Callable, x, r: Fraction,
-            delta: Fraction, dictionary: PrefixDictionary,
-            eps_mode: str = "proof",
-            pivot_cache: dict[str, Fraction] | None = None) -> IntervalHit:
-    """Interval access with memoized randomized estimates.
+def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
+               delta: Fraction, dictionary: PrefixDictionary,
+               eps_mode: str = "proof",
+               span: tuple[Fraction, Fraction] = (ZERO, ONE)
+               ) -> SelfReductionTrie:
+    """Trie whose pivots come from memoized randomized estimates.
 
     On a dictionary miss the estimate is computed at accuracy 1/(8*d0) and
-    per-call failure budget 2**-(d0+1) * delta, then frozen; repeated calls
-    in a session therefore see byte-identical partitions. Since estimates
-    are write-once, the pivot at a prefix is a session constant and may be
-    cached by the caller.
+    per-call failure budget 2**-(d0+1) * delta, then frozen, so every pivot
+    is a constant of the session. When both estimates are 0 the node is
+    split at its midpoint, which keeps the tiling intact.
     """
     d0 = problem.zeta(x)
-    word = ""
-    low, high = ZERO, ONE
-    eps_proof = Fraction(1, 8 * d0) if d0 > 0 else None
     fail_budget = Fraction(delta, 1 << (d0 + 1))
-    for depth in range(d0, 0, -1):
+
+    def split(word: str, depth: int) -> Fraction:
+        eps = accuracy(d0, depth, eps_mode)
         w0, w1 = word + "0", word + "1"
-        pivot = pivot_cache.get(word) if pivot_cache is not None else None
-        if pivot is None:
-            eps = eps_proof if eps_mode == "proof" else Fraction(1, 8 * depth)
-            n0 = dictionary.lookup(
-                w0, lambda: fpras(problem.reduce(x, w0), eps, fail_budget))
-            n1 = dictionary.lookup(
-                w1, lambda: fpras(problem.reduce(x, w1), eps, fail_budget))
-            if n0 + n1 == 0:
-                # adversarial oracle: split at the midpoint, keep tiling intact
-                dictionary.midpoint_fallbacks += 1
-                pivot = (low + high) / 2
-            else:
-                pivot = low + Fraction(n0, n0 + n1) * (high - low)
-            if pivot_cache is not None:
-                pivot_cache[word] = pivot
-        if r < pivot:
-            word, high = w0, pivot
-        else:
-            word, low = w1, pivot
-    return IntervalHit(word, low, high)
+        n0 = dictionary.lookup(
+            w0, lambda: fpras(problem.reduce(x, w0), eps, fail_budget))
+        n1 = dictionary.lookup(
+            w1, lambda: fpras(problem.reduce(x, w1), eps, fail_budget))
+        if n0 + n1 == 0:
+            dictionary.midpoint_fallbacks += 1
+            return HALF
+        return Fraction(n0, n0 + n1)
+
+    return SelfReductionTrie(d0, split, span)
+
+
+def xaccess(problem: SelfReducibleProblem, fpras: Callable, x, r: Fraction,
+            delta: Fraction, dictionary: PrefixDictionary,
+            eps_mode: str = "proof") -> IntervalHit:
+    """Interval access with memoized randomized estimates; repeated calls
+    on one dictionary see byte-identical partitions."""
+    return fpras_trie(problem, fpras, x, delta, dictionary,
+                      eps_mode).descend(r)
+
+
+def guarded_accept(rng: random.Random, ratio: Fraction) -> bool:
+    """Rejection test behind the (1/4, 1) guard: a ratio outside the
+    window means some counter call failed, and the candidate is emitted
+    without the test."""
+    return not (QUARTER < ratio < ONE) or bernoulli_less(rng, ratio)
 
 
 def root_estimate(problem: SelfReducibleProblem, fpras: Callable, x,
@@ -124,7 +130,6 @@ def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
     master-computed `phi_star`; the rest of [0,1) is pre-banned.
     """
     delta = Fraction(delta)
-    d = problem.zeta(x)
     dictionary = dictionary if dictionary is not None else PrefixDictionary()
     if phi_star is None:
         estimate = root_estimate(problem, fpras, x, delta)
@@ -132,34 +137,6 @@ def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
             return
         phi_star = Fraction(4, 9) / estimate
 
-    low, high = span
-    banned = BannedIntervalTree()
-    if low > ZERO:
-        banned.insert(ZERO, low)
-    if high < ONE:
-        banned.insert(high, ONE)
-    available = high - low
-    bits = max(d, 1) + 128
-    cap = attempt_cap if attempt_cap is not None else 64 * max(d, 1)
-    clock = clock or VirtualClock()
-    pivots: dict[str, Fraction] = {}
-
-    while available > 0:
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > cap:
-                raise NonTerminating(f"{cap} attempts without an emission")
-            clock.advance(1)
-            r = generate_seed(banned, available, rng, bits)
-            hit = xaccess(problem, fpras, x, r, delta, dictionary, eps_mode,
-                          pivots)
-            ratio = phi_star / hit.width
-            if not (QUARTER < ratio < ONE):
-                break  # some counter call failed: emit without the test
-            if bernoulli_less(rng, ratio):
-                break
-        banned.insert(hit.low, hit.high)
-        available -= hit.width
-        yield EmissionRecord(hit.solution, hit.low, hit.high, hit.width,
-                             attempts, clock.now)
+    trie = fpras_trie(problem, fpras, x, delta, dictionary, eps_mode, span)
+    yield from enumerate_trie(trie, rng, phi_star, guarded_accept,
+                              attempt_cap, clock)

@@ -4,45 +4,26 @@ approximate counter.
 The interval access maps a seed r in [0,1) to a solution and its interval
 by recursive quasi-pivot partitioning; the driver samples seeds from the
 not-yet-banned part of [0,1) and applies an exact rejection test so every
-emission is uniform over the remaining solutions.
+emission is uniform over the remaining solutions. Both run on the
+self-reduction trie (`trie.py`), split by the counter's estimates.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .interval_tree import BannedIntervalTree, generate_seed
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord, VirtualClock
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .trie import (IntervalHit, NonTerminating, SelfReductionTrie, accuracy,
+                   enumerate_trie)
 
 
 class EmptyBranch(Exception):
     """Both child estimates were 0 at positive depth: the approximate
     counter violated its contract (a true eps < 1 counter never maps a
     nonempty solution set to 0)."""
-
-
-class NonTerminating(Exception):
-    """Attempt watchdog fired; signals a broken oracle."""
-
-
-@dataclass
-class IntervalHit:
-    """Solution f(r) together with its interval [low, high)."""
-
-    solution: str
-    low: Fraction
-    high: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.high - self.low
 
 
 def bernoulli_less(rng: random.Random, threshold: Fraction) -> bool:
@@ -69,39 +50,33 @@ def bernoulli_less(rng: random.Random, threshold: Fraction) -> bool:
             return False
 
 
+def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x,
+               eps_mode: str = "proof") -> SelfReductionTrie:
+    """Trie whose pivots split each node in the ratio of the two child
+    estimates. The counter is deterministic, so every pivot is a constant
+    of the instance."""
+    d0 = problem.zeta(x)
+
+    def split(word: str, depth: int) -> Fraction:
+        eps = accuracy(d0, depth, eps_mode)
+        n0 = fptas(problem.reduce(x, word + "0"), eps)
+        n1 = fptas(problem.reduce(x, word + "1"), eps)
+        if n0 + n1 == 0:
+            raise EmptyBranch(f"both estimates 0 at prefix {word!r}")
+        return Fraction(n0, n0 + n1)
+
+    return SelfReductionTrie(d0, split)
+
+
 def iaccess(problem: SelfReducibleProblem, fptas: Callable, x, r: Fraction,
-            eps_mode: str = "proof",
-            pivot_cache: dict[str, Fraction] | None = None) -> IntervalHit:
+            eps_mode: str = "proof") -> IntervalHit:
     """Compute f(r) and its interval by quasi-pivot recursion.
 
     Child counts are estimated at accuracy 1/(8*d0) with d0 the root depth
     ("proof" mode); "literal" mode shrinks the accuracy with the current
-    depth instead. Because the counter is deterministic, the pivot at a
-    prefix is a constant of the session; a caller-supplied pivot_cache
-    avoids recomputing it on every attempt.
+    depth instead.
     """
-    d0 = problem.zeta(x)
-    word = ""
-    low, high = ZERO, ONE
-    eps_proof = Fraction(1, 8 * d0) if d0 > 0 else None
-    for depth in range(d0, 0, -1):
-        pivot = pivot_cache.get(word) if pivot_cache is not None else None
-        if pivot is None:
-            eps = eps_proof if eps_mode == "proof" else Fraction(1, 8 * depth)
-            n0 = fptas(problem.reduce(x, word + "0"), eps)
-            n1 = fptas(problem.reduce(x, word + "1"), eps)
-            if n0 + n1 == 0:
-                raise EmptyBranch(f"both estimates 0 at prefix {word!r}")
-            pivot = low + Fraction(n0, n0 + n1) * (high - low)
-            if pivot_cache is not None:
-                pivot_cache[word] = pivot
-        if r < pivot:
-            word += "0"
-            high = pivot
-        else:
-            word += "1"
-            low = pivot
-    return IntervalHit(word, low, high)
+    return fptas_trie(problem, fptas, x, eps_mode).descend(r)
 
 
 def aia_enumerate(problem: SelfReducibleProblem, fptas: Callable, x,
@@ -115,30 +90,9 @@ def aia_enumerate(problem: SelfReducibleProblem, fptas: Callable, x,
     each candidate is accepted with probability phi* / width, making the
     per-solution acceptance probability identical despite unequal widths.
     """
-    d = problem.zeta(x)
     root_estimate = fptas(x, Fraction(1, 3))
     if root_estimate == 0:
         return  # Sol(x) is empty: a 1/3-accurate counter returns 0 only then
-    phi_star = Fraction(4, 9) / root_estimate
-    banned = BannedIntervalTree()
-    available = ONE
-    bits = max(d, 1) + 128
-    cap = attempt_cap if attempt_cap is not None else 64 * max(d, 1)
-    clock = clock or VirtualClock()
-    pivots: dict[str, Fraction] = {}
-
-    while available > 0:
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > cap:
-                raise NonTerminating(f"{cap} attempts without an emission")
-            clock.advance(1)
-            r = generate_seed(banned, available, rng, bits)
-            hit = iaccess(problem, fptas, x, r, eps_mode, pivots)
-            if bernoulli_less(rng, phi_star / hit.width):
-                break
-        banned.insert(hit.low, hit.high)
-        available -= hit.width
-        yield EmissionRecord(hit.solution, hit.low, hit.high, hit.width,
-                             attempts, clock.now)
+    yield from enumerate_trie(fptas_trie(problem, fptas, x, eps_mode), rng,
+                              Fraction(4, 9) / root_estimate, bernoulli_less,
+                              attempt_cap, clock)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exact import raccess
-from .fpras import PrefixDictionary, axa_enumerate, root_estimate, xaccess
+from .fpras import PrefixDictionary, axa_enumerate, fpras_trie, root_estimate
 from .problem import SelfReducibleProblem
 from .problems import SimulatedOracleConfig, SimulatedOracles
 from .record import EmissionRecord
@@ -74,12 +74,11 @@ def master_phase1(problem: SelfReducibleProblem, fpras: Callable, x,
     if m < 1:
         raise ValueError("need at least one slave")
     dictionary = PrefixDictionary()
+    trie = fpras_trie(problem, fpras, x, delta, dictionary, eps_mode)
     bounds = [ZERO]
     boundary_words: list[str] = []
-    pivots: dict = {}
     for i in range(1, m):
-        hit = xaccess(problem, fpras, x, Fraction(i, m), delta, dictionary,
-                      eps_mode, pivots)
+        hit = trie.descend(Fraction(i, m))  # nothing is banned: y = r
         if hit.low <= bounds[-1]:
             raise DegeneratePartition(
                 f"range {i} is empty (m={m} too large for this instance)")
@@ -191,6 +190,19 @@ class ParallelResult:
     complete: bool = True
 
 
+def weighted_pick(remaining: list[Fraction], rng: random.Random) -> int:
+    """Index of a slave drawn with probability proportional to its
+    remaining range width (96 random bits)."""
+    total = sum(w for w in remaining if w > 0)
+    u = Fraction(rng.getrandbits(96), 1 << 96) * total
+    for j, w in enumerate(remaining):
+        if w > 0:
+            if u < w:
+                return j
+            u -= w
+    raise AssertionError("draw beyond the total remaining width")
+
+
 def default_oracle_factory(problem, noise_mode="none", seed=0,
                            distortion=2, forced=frozenset()):
     """Per-role FPRAS factory: role 0 is the master, 1..m the slaves; each
@@ -260,17 +272,7 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
     while any(w > 0 for w in remaining):
         if max_outputs is not None and len(outputs) >= max_outputs:
             break
-        # weighted pick among slaves with remaining width
-        total = sum(w for w in remaining if w > 0)
-        u = Fraction(master_rng.getrandbits(96), 1 << 96) * total
-        idx = 0
-        for j, w in enumerate(remaining):
-            if w <= 0:
-                continue
-            if u < w:
-                idx = j
-                break
-            u -= w
+        idx = weighted_pick(remaining, master_rng)
         feed = feeds[idx]
 
         if mode == "paced":

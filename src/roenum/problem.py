@@ -9,7 +9,7 @@ so endpoint comparisons are exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 
@@ -125,29 +125,3 @@ def verify_self_reducibility(problem: SelfReducibleProblem, x,
             if problem.zeta(sub) == 0 and problem.base_check(sub) != ("" in sub_sol):
                 return False
     return True
-
-
-@dataclass
-class BrokenReduction(SelfReducibleProblem):
-    """Wrapper that deliberately breaks the length contract (for tests)."""
-
-    inner: SelfReducibleProblem
-    name: str = field(default="broken", init=False)
-
-    def zeta(self, x):
-        return self.inner.zeta(x)
-
-    def reduce(self, x, word):
-        return x  # never shrinks: violates zeta(reduce(x, w)) = zeta(x) - |w|
-
-    def membership(self, x, word):
-        return self.inner.membership(x, word)
-
-    def base_check(self, x):
-        return self.inner.base_check(x)
-
-    def size(self, x):
-        return self.inner.size(x)
-
-    def instance_key(self, x):
-        return self.inner.instance_key(x)

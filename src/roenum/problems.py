@@ -242,8 +242,12 @@ def parse_instance(text: str):
         raise ValueError("empty instance file")
     head = lines[0].split()
     if head[0] == "allbits":
+        if len(head) != 2:
+            raise ValueError("expected `allbits <n>`")
         return AllBitstrings(), int(head[1])
     if head[0] == "knapsack":
+        if len(head) != 3 or len(lines) < 2:
+            raise ValueError("expected `knapsack <n> <C>` and a line of sizes")
         n, cap = int(head[1]), int(head[2])
         sizes = tuple(int(t) for t in lines[1].split())
         if len(sizes) != n:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass
+@dataclass(slots=True)
 class EmissionRecord:
     solution: str
     low: Fraction | None      # interval endpoints; None for index-based algos

@@ -15,18 +15,10 @@ import struct
 import threading
 from fractions import Fraction
 
-from .fpras import PrefixDictionary
-from .parallel import RangeAssignment, master_phase1, slave_session
+from .parallel import (RangeAssignment, master_phase1, slave_session,
+                       weighted_pick)
 from .record import EmissionRecord
-
-
-def frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
+from .stats import frac_str
 
 
 def send_frame(sock: socket.socket, message: dict):
@@ -69,9 +61,9 @@ def assignment_message(a: RangeAssignment) -> dict:
 
 def parse_assignment(msg: dict) -> RangeAssignment:
     return RangeAssignment(
-        msg["index"], parse_frac(msg["low"]), parse_frac(msg["high"]),
-        dict(msg["piece"]), parse_frac(msg["phi_star"]),
-        parse_frac(msg["delta"]))
+        msg["index"], Fraction(msg["low"]), Fraction(msg["high"]),
+        dict(msg["piece"]), Fraction(msg["phi_star"]),
+        Fraction(msg["delta"]))
 
 
 def emission_message(index: int, rec: EmissionRecord) -> dict:
@@ -90,7 +82,8 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
     """Run the two-phase pipeline over localhost TCP, one thread per slave.
 
     The master collects all emissions, then performs the weighted dequeue
-    over the full queues. Returns the master's output order.
+    over the full queues. Returns the master's output order, which is the
+    order of run_parallel's outputs for the same seed and oracle factory.
     """
     assignments, _, _ = master_phase1(problem, oracle_factory(0), x,
                                       Fraction(delta), m)
@@ -99,29 +92,29 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
     listener.listen(m)
     port = listener.getsockname()[1]
 
-    def slave_main(role: int, slave_seed: int):
+    # slave i seeds its session with the i-th draw, whatever order the
+    # connections are accepted in, exactly as run_parallel does
+    master_rng = random.Random(seed)
+    seeds = [master_rng.getrandbits(64) for _ in range(m)]
+
+    def slave_main():
         conn = socket.create_connection(("127.0.0.1", port))
         try:
-            msg = recv_frame(conn)
-            a = parse_assignment(msg)
+            a = parse_assignment(recv_frame(conn))
             gen, _ = slave_session(problem, oracle_factory(a.index), x, a,
-                                   random.Random(slave_seed))
+                                   random.Random(seeds[a.index - 1]))
             for rec in gen:
                 send_frame(conn, emission_message(a.index, rec))
             send_frame(conn, {"kind": "done", "index": a.index})
         finally:
             conn.close()
 
-    master_rng = random.Random(seed)
-    seeds = [master_rng.getrandbits(64) for _ in range(m)]
-    threads = [threading.Thread(target=slave_main, args=(i, seeds[i]))
-               for i in range(m)]
+    threads = [threading.Thread(target=slave_main) for _ in range(m)]
     for th in threads:
         th.start()
 
     conns = [listener.accept()[0] for _ in range(m)]
-    # connection order is arbitrary: hand out assignments in accept order
-    queues: dict[int, list] = {a.index: [] for a in assignments}
+    queues: list[list] = [[] for _ in assignments]
     for conn, a in zip(conns, assignments):
         send_frame(conn, assignment_message(a))
 
@@ -130,8 +123,8 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
             msg = recv_frame(conn)
             if msg is None or msg["kind"] == "done":
                 return
-            queues[msg["index"]].append(
-                (msg["solution"], parse_frac(msg["high"]) - parse_frac(msg["low"])))
+            queues[msg["index"] - 1].append(
+                (msg["solution"], Fraction(msg["high"]) - Fraction(msg["low"])))
 
     readers = [threading.Thread(target=reader, args=(c,)) for c in conns]
     for th in readers:
@@ -142,18 +135,10 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
         conn.close()
     listener.close()
 
-    remaining = {a.index: a.width for a in assignments}
+    remaining = [a.width for a in assignments]
     output: list[str] = []
-    while any(w > 0 for w in remaining.values()):
-        total = sum(w for w in remaining.values() if w > 0)
-        u = Fraction(master_rng.getrandbits(96), 1 << 96) * total
-        for idx in sorted(remaining):
-            w = remaining[idx]
-            if w <= 0:
-                continue
-            if u < w:
-                break
-            u -= w
+    while any(w > 0 for w in remaining):
+        idx = weighted_pick(remaining, master_rng)
         word, width = queues[idx].pop(0)
         remaining[idx] -= width
         output.append(word)

@@ -1,0 +1,175 @@
+"""The self-reduction trie shared by the FPTAS and FPRAS tiers.
+
+A node stands for a solution prefix w and owns the interval of [0,1) that
+the quasi-pivot partition gives w; its pivot splits that interval between
+the children w0 and w1. Nodes are expanded lazily, the first time a descent
+passes them, by a tier-supplied `split(prefix, depth)` that returns child
+0's share of the node. Each node also holds the banned mass inside its
+interval, so its available mass is its width minus that. Drawing a seed
+from the unbanned part of [0,1) and walking it to its solution is
+therefore one descent, and banning an emission adds its width along its
+path. A node whose whole interval is banned drops its children, so a
+session frees each subtree it has drained.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterator
+
+from .record import EmissionRecord, VirtualClock
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+class NonTerminating(Exception):
+    """Attempt watchdog fired; signals a broken oracle."""
+
+
+@dataclass
+class IntervalHit:
+    """Solution f(r) together with its interval [low, high)."""
+
+    solution: str
+    low: Fraction
+    high: Fraction
+
+    @property
+    def width(self) -> Fraction:
+        return self.high - self.low
+
+
+@functools.cache  # one Fraction per (d0, depth, mode) instead of per node
+def accuracy(d0: int, depth: int, eps_mode: str) -> Fraction:
+    """Child-count accuracy at a node `depth` levels above the leaves:
+    1/(8*d0) with d0 the root depth ("proof"), or 1/(8*depth) ("literal")."""
+    return Fraction(1, 8 * (d0 if eps_mode == "proof" else depth))
+
+
+class _Node:
+    __slots__ = ("pivot", "left", "right", "banned")
+
+    def __init__(self):
+        self.pivot: Fraction | None = None  # None until expanded
+        self.left: _Node | None = None
+        self.right: _Node | None = None
+        self.banned = ZERO  # banned mass inside the node's interval
+
+
+def _dead(node: _Node) -> bool:
+    # fully banned: a banned leaf, or a node already pruned or clipped away
+    return bool(node.banned) and node.left is None
+
+
+class SelfReductionTrie:
+    """Lazily expanded self-reduction tree of depth `depth` over [0,1).
+
+    The mass outside `span` starts banned. A span end must be an endpoint
+    of some solution's interval (as the master's partition guarantees);
+    clipping expands only the nodes that straddle an end.
+    """
+
+    def __init__(self, depth: int, split: Callable[[str, int], Fraction],
+                 span: tuple[Fraction, Fraction] = (ZERO, ONE)):
+        self.depth = depth
+        self.split = split
+        self.root = _Node()
+        self._clip(self.root, "", ZERO, ONE, *span)
+        self.available = ONE - self.root.banned
+
+    def _expand(self, node: _Node, word: str, low: Fraction,
+                high: Fraction) -> Fraction:
+        share = self.split(word, self.depth - len(word))
+        node.pivot = pivot = low + share * (high - low)
+        node.left, node.right = _Node(), _Node()
+        return pivot
+
+    def _clip(self, node: _Node, word: str, low: Fraction, high: Fraction,
+              lo: Fraction, hi: Fraction):
+        if high <= lo or hi <= low:
+            node.banned = high - low
+        elif low < lo or hi < high:
+            if len(word) == self.depth:
+                raise ValueError(f"span end inside the interval of {word!r}")
+            pivot = self._expand(node, word, low, high)
+            self._clip(node.left, word + "0", low, pivot, lo, hi)
+            self._clip(node.right, word + "1", pivot, high, lo, hi)
+            node.banned = node.left.banned + node.right.banned
+
+    def descend(self, y: Fraction) -> IntervalHit:
+        """The solution whose interval holds the y-th unit of available
+        mass, for y in [0, available). On an unbanned trie y is the seed r
+        itself and the result is f(r).
+
+        The walk carries r = y + (banned mass left of the current node),
+        which ends as the point of [0,1) that y stands for: the left child
+        holds it exactly when r plus the left child's banned mass is below
+        the pivot, and passing the left child adds that mass to r.
+        """
+        node, word, low, high, r = self.root, "", ZERO, ONE, y
+        for _ in range(self.depth):
+            pivot = node.pivot
+            if pivot is None:
+                pivot = self._expand(node, word, low, high)
+            left = node.left
+            shifted = r + left.banned if left.banned else r
+            if shifted < pivot:
+                node, word, high = left, word + "0", pivot
+            else:
+                node, word, low, r = node.right, word + "1", pivot, shifted
+        return IntervalHit(word, low, high)
+
+    def ban(self, hit: IntervalHit):
+        """Add the mass of a drawn solution along its path, and drop the
+        children of every node left without available mass."""
+        path = [self.root]
+        for bit in hit.solution:
+            if _dead(path[-1]):
+                break
+            path.append(path[-1].left if bit == "0" else path[-1].right)
+        if _dead(path[-1]):
+            raise ValueError(f"{hit.solution!r} is already banned")
+        width = hit.width
+        for node in path:
+            node.banned = node.banned + width if node.banned else width
+        self.available -= width
+        for node in reversed(path[:-1]):
+            if not (_dead(node.left) and _dead(node.right)):
+                break
+            node.left = node.right = None
+
+
+def enumerate_trie(trie: SelfReductionTrie, rng: random.Random,
+                   phi_star: Fraction,
+                   accept: Callable[[random.Random, Fraction], bool],
+                   attempt_cap: int | None = None,
+                   clock: VirtualClock | None = None
+                   ) -> Iterator[EmissionRecord]:
+    """Emit every unbanned solution of the trie once, banning each.
+
+    An attempt draws y uniformly from the available mass (d + 128 random
+    bits), descends to its solution and keeps it when
+    accept(rng, phi_star / width) holds.
+    """
+    d = max(trie.depth, 1)
+    bits = d + 128
+    cap = attempt_cap if attempt_cap is not None else 64 * d
+    clock = clock or VirtualClock()
+    while trie.available > 0:
+        attempts = 0
+        while True:
+            attempts += 1
+            if attempts > cap:
+                raise NonTerminating(f"{cap} attempts without an emission")
+            clock.advance(1)
+            u = Fraction(rng.getrandbits(bits), 1 << bits)
+            hit = trie.descend(u * trie.available)
+            if accept(rng, phi_star / hit.width):
+                break
+        trie.ban(hit)
+        yield EmissionRecord(hit.solution, hit.low, hit.high, hit.width,
+                             attempts, clock.now)

@@ -3,8 +3,10 @@ import io
 
 import pytest
 
+from roenum import cli
 from roenum.cli import main
-from roenum.problems import Knapsack, format_instance, parse_instance
+from roenum.problems import (Knapsack, SimulatedOracles, format_instance,
+                             parse_instance)
 
 
 @pytest.fixture
@@ -107,3 +109,40 @@ def test_verify(allbits_file, capsys):
 def test_usage_error_exit_code():
     assert main(["enumerate"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("text", ["knapsack 3 5\n", "allbits\n"])
+def test_malformed_instance_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["enumerate", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_missing_instance_exit_code(tmp_path, capsys):
+    assert main(["verify", "--instance", str(tmp_path / "none.txt")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_uniformity_runs_are_independent_fpras_sessions(allbits_file,
+                                                        monkeypatch):
+    failed = []  # one set of failed instance keys per run
+
+    class Recording(SimulatedOracles):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            failed.append(set())
+
+        def fpras(self, x, eps, delta_fail):
+            before = self.failures
+            value = super().fpras(x, eps, delta_fail)
+            if self.failures > before:
+                failed[-1].add((self.problem.instance_key(x), eps))
+            return value
+
+    monkeypatch.setattr(cli, "SimulatedOracles", Recording)
+    main(["uniformity", "--instance", str(allbits_file), "--algo", "fpras",
+          "--delta", "9/10", "--runs", "40"])
+    assert len(failed) == 40
+    assert len({frozenset(f) for f in failed}) > 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from roenum.fptas import (EmptyBranch, NonTerminating, aia_enumerate,
-                          bernoulli_less, iaccess)
+                          bernoulli_less, fptas_trie, iaccess)
 from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
@@ -69,8 +69,11 @@ def test_iaccess_is_consistent_within_session():
     fptas = noisy_counter(KNAP, seed=9)
     r = F(1, 3)
     a = iaccess(KNAP, fptas, x, r)
-    b = iaccess(KNAP, fptas, x, r, pivot_cache={})
-    assert (a.solution, a.low, a.high) == (b.solution, b.low, b.high)
+    # a session's trie expands each pivot once and reuses it
+    trie = fptas_trie(KNAP, fptas, x)
+    b, c = trie.descend(r), trie.descend(r)
+    assert (a.solution, a.low, a.high) == (b.solution, b.low, b.high) == \
+        (c.solution, c.low, c.high)
 
 
 def test_iaccess_empty_branch_raises():

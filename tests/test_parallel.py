@@ -149,3 +149,14 @@ def test_tcp_transport_roundtrip():
                               oracle_factory=factory)
     assert set(output) == set(brute_force_solutions(KNAP, x))
     assert len(output) == len(set(output))
+
+
+def test_tcp_transport_matches_run_parallel():
+    # slave seeds follow the slave index, not the accept order
+    x = generate_knapsack(9, seed=8)
+    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=8)
+    expected = [o.solution for o in run_parallel(
+        KNAP, x, F(1, 10), 3, seed=8, oracle_factory=factory).outputs]
+    for _ in range(3):
+        assert run_parallel_tcp(KNAP, x, F(1, 10), 3, seed=8,
+                                oracle_factory=factory) == expected

@@ -1,0 +1,222 @@
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from roenum.fpras import axa_enumerate
+from roenum.fptas import aia_enumerate, bernoulli_less
+from roenum.problem import brute_force_solutions
+from roenum.problems import (Knapsack, SimulatedOracleConfig,
+                             SimulatedOracles, generate_knapsack)
+from roenum.trie import IntervalHit, SelfReductionTrie, enumerate_trie
+
+F = Fraction
+KNAP = Knapsack()
+
+
+def uneven(word, depth):
+    # child 0 gets 1/4, 1/2 or 3/4 of a node, by the node's prefix
+    return F(1 + word.count("1") % 3, 4)
+
+
+def dyadic(word, depth):
+    return F(1, 2)
+
+
+def reference_leaves(split, depth):
+    """Every leaf's interval, by recursing the split outside the trie."""
+    out = {}
+
+    def walk(word, low, high):
+        if len(word) == depth:
+            out[word] = (low, high)
+            return
+        pivot = low + split(word, depth - len(word)) * (high - low)
+        walk(word + "0", low, pivot)
+        walk(word + "1", pivot, high)
+
+    walk("", F(0), F(1))
+    return out
+
+
+def reference_shift(intervals, y):
+    # sorted-list reference: the y-th point of [0,1) outside the intervals
+    b = F(0)
+    for low, high in sorted(intervals):
+        if y + b < low:
+            break
+        b += high - low
+    return y + b
+
+
+def drawn_and_banned(depth, count, seed):
+    """A trie with `count` random leaves drawn (on the unbanned trie, where
+    y = r) and then banned; returns (trie, leaves, banned words)."""
+    leaves = reference_leaves(uneven, depth)
+    banned = random.Random(seed).sample(sorted(leaves), count)
+    trie = SelfReductionTrie(depth, uneven)
+    hits = [trie.descend(leaves[word][0]) for word in banned]
+    for word, hit in zip(banned, hits):
+        assert (hit.solution, hit.low, hit.high) == (word, *leaves[word])
+    for hit in hits:
+        trie.ban(hit)
+    return trie, leaves, set(banned)
+
+
+def test_descend_hand_walks():
+    trie = SelfReductionTrie(2, dyadic)
+    hit = trie.descend(F(1, 3))
+    assert (hit.solution, hit.low, hit.high) == ("01", F(1, 4), F(1, 2))
+    trie.ban(trie.descend(F(0)))
+    assert trie.available == F(3, 4)
+    # the first quarter is banned: every draw shifts past it
+    hit = trie.descend(F(1, 8))
+    assert (hit.solution, hit.low, hit.high) == ("01", F(1, 4), F(1, 2))
+    hit = trie.descend(F(1, 4))
+    assert hit.solution == "10"
+    trie.ban(hit)
+    assert trie.descend(F(1, 4)).solution == "11"
+
+
+def test_ban_adds_mass_along_path():
+    trie = SelfReductionTrie(2, uneven)
+    trie.ban(trie.descend(F(0)))
+    assert trie.available == 1 - F(1, 4) * F(1, 4)
+    assert trie.root.banned == trie.root.left.banned == F(1, 16)
+    assert trie.root.right.banned == 0
+
+
+def test_two_bans_add_and_keep_order():
+    trie = SelfReductionTrie(2, dyadic)
+    trie.ban(trie.descend(F(0)))  # "00" = [0, 1/4)
+    trie.ban(trie.descend(F(1, 4)))  # "10" = [1/2, 3/4), past the first ban
+    assert trie.root.banned == F(1, 2)
+    assert trie.root.left.banned == trie.root.right.banned == F(1, 4)
+    assert trie.available == F(1, 2)
+    # what is left is "01" then "11", in the order of [0,1)
+    assert [trie.descend(y).solution for y in (F(0), F(1, 4))] == \
+        ["01", "11"]
+
+
+def test_ban_twice_raises():
+    trie = SelfReductionTrie(3, uneven)
+    hit = trie.descend(F(1, 2))
+    trie.ban(hit)
+    with pytest.raises(ValueError):
+        trie.ban(hit)
+    # banning both halves prunes the root's children
+    halves = SelfReductionTrie(1, dyadic)
+    first, second = halves.descend(F(0)), halves.descend(F(1, 2))
+    halves.ban(first)
+    halves.ban(second)
+    assert halves.root.left is None
+    with pytest.raises(ValueError):
+        halves.ban(first)
+
+
+def test_ban_outside_span_raises():
+    # a leaf outside the span starts banned
+    clipped = SelfReductionTrie(2, dyadic, span=(F(1, 4), F(1)))
+    assert clipped.available == F(3, 4)
+    with pytest.raises(ValueError):
+        clipped.ban(IntervalHit("00", F(0), F(1, 4)))
+
+
+def test_span_must_end_on_a_leaf_endpoint():
+    with pytest.raises(ValueError):
+        SelfReductionTrie(2, dyadic, span=(F(1, 3), F(1)))
+
+
+@pytest.mark.parametrize("count", [1, 3, 10, 100, 1000])
+def test_descend_matches_reference_shift(count):
+    trie, leaves, banned = drawn_and_banned(11, count, seed=count)
+    intervals = [leaves[w] for w in banned]
+    assert trie.available == 1 - sum(h - l for l, h in intervals)
+    for k in range(200):
+        y = F(k, 200) * trie.available
+        hit = trie.descend(y)
+        r = reference_shift(intervals, y)
+        assert hit.low <= r < hit.high
+        assert (hit.low, hit.high) == leaves[hit.solution]
+        assert hit.solution not in banned
+
+
+def test_descend_is_monotone():
+    trie, _, _ = drawn_and_banned(9, 50, seed=7)
+    lows = [trie.descend(F(k, 500) * trie.available).low for k in range(500)]
+    assert all(a <= b for a, b in zip(lows, lows[1:]))
+
+
+def test_descend_avoids_banned():
+    trie, _, banned = drawn_and_banned(6, 20, seed=11)
+    rng = random.Random(11)
+    for _ in range(500):
+        y = F(rng.getrandbits(40), 1 << 40) * trie.available
+        assert trie.descend(y).solution not in banned
+
+
+def test_banned_mass_consistency_after_bans():
+    trie, leaves, banned = drawn_and_banned(10, 500, seed=3)
+
+    def check(node, low, high):
+        if node.left is None:  # unexpanded, or pruned when fully banned
+            assert node.banned in (0, high - low)
+            return
+        check(node.left, low, node.pivot)
+        check(node.right, node.pivot, high)
+        assert node.banned == node.left.banned + node.right.banned
+
+    check(trie.root, F(0), F(1))
+    assert trie.root.banned == sum(leaves[w][1] - leaves[w][0]
+                                   for w in banned)
+    assert trie.available == 1 - trie.root.banned
+
+
+def test_exhausted_trie_emits_nothing():
+    trie = SelfReductionTrie(2, dyadic)
+    records = list(enumerate_trie(trie, random.Random(0), F(1, 9),
+                                  bernoulli_less))
+    assert sorted(r.solution for r in records) == ["00", "01", "10", "11"]
+    assert trie.available == 0
+    assert trie.root.left is None  # the banned tree is dropped
+    assert list(enumerate_trie(trie, random.Random(0), F(1, 9),
+                               bernoulli_less)) == []
+
+
+def assert_tiles(records, low, high):
+    spans = sorted((r.low, r.high) for r in records)
+    assert spans[0][0] == low and spans[-1][1] == high
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert sum(r.width for r in records) == high - low
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 8), instance_seed=st.integers(0, 1 << 16),
+       noise=st.sampled_from(["none", "hash", "extreme"]),
+       nonce=st.integers(0, 1 << 16), data=st.data())
+def test_emissions_are_the_solutions_and_tile_the_span(
+        n, instance_seed, noise, nonce, data):
+    x = generate_knapsack(n, seed=instance_seed)
+    sim = SimulatedOracles(KNAP, SimulatedOracleConfig(
+        noise_mode=noise, seed=instance_seed, nonce=nonce))
+    brute = brute_force_solutions(KNAP, x)
+
+    aia = list(aia_enumerate(KNAP, sim.fptas, x, random.Random(nonce)))
+    assert sorted(r.solution for r in aia) == sorted(brute)
+    assert_tiles(aia, F(0), F(1))
+
+    # delta = 1/2 makes failed counter calls likely
+    full = list(axa_enumerate(KNAP, sim.fpras, x, F(1, 2),
+                              random.Random(nonce)))
+    assert sorted(r.solution for r in full) == sorted(brute)
+    assert_tiles(full, F(0), F(1))
+
+    ends = sorted({r.low for r in full} | {F(1)})
+    lo = data.draw(st.sampled_from(ends[:-1]))
+    hi = data.draw(st.sampled_from([e for e in ends if e > lo]))
+    part = list(axa_enumerate(KNAP, sim.fpras, x, F(1, 2),
+                              random.Random(nonce + 1), span=(lo, hi)))
+    inside = {r.solution for r in full if lo <= r.low and r.high <= hi}
+    assert sorted(r.solution for r in part) == sorted(inside)
+    assert_tiles(part, lo, hi)
