@@ -11,7 +11,6 @@ hash-driven pseudo-probability.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -149,16 +148,25 @@ class SimulatedOracleConfig:
     forced_failures: frozenset = frozenset()  # instance keys that always fail
 
 
-def _hash_unit(*parts) -> Fraction:
-    """Deterministic pseudo-uniform value in [0, 1) from the given parts."""
+def _hash_unit(*parts) -> int:
+    """Deterministic pseudo-uniform 64-bit integer h from the given parts,
+    standing for the point h / 2**64 of [0, 1)."""
     h = hashlib.blake2b(repr(parts).encode(), digest_size=8).digest()
-    return Fraction(int.from_bytes(h, "big"), 1 << 64)
+    return int.from_bytes(h, "big")
 
 
 def _band(exact: int, eps: Fraction) -> tuple[int, int]:
-    lo = math.ceil(exact * (1 - eps))
-    hi = math.floor(exact * (1 + eps))
+    """(ceil(exact*(1-eps)), floor(exact*(1+eps))), each at least 1, in
+    integer arithmetic on eps = p/q."""
+    p, q = eps.numerator, eps.denominator
+    lo = -(-exact * (q - p) // q)
+    hi = exact * (q + p) // q
     return max(lo, 1), max(hi, 1)
+
+
+def _as_fraction(v) -> Fraction:
+    # exact type: the repr of a subclass would change the hash input
+    return v if type(v) is Fraction else Fraction(v)
 
 
 class SimulatedOracles:
@@ -181,19 +189,20 @@ class SimulatedOracles:
 
     def fptas(self, x, eps: Fraction) -> int:
         self.calls["fptas"] += 1
-        return self._estimate(x, Fraction(eps))
+        return self._estimate(x, _as_fraction(eps))
 
     def fpras(self, x, eps: Fraction, delta_fail: Fraction) -> int:
         self.calls["fpras"] += 1
-        eps = Fraction(eps)
-        delta_fail = Fraction(delta_fail)
+        eps = _as_fraction(eps)
+        delta_fail = _as_fraction(delta_fail)
         exact = self.problem.exact_count(x)
         key = self.problem.instance_key(x)
         fail = key in self.config.forced_failures
         if not fail and delta_fail > 0:
-            draw = _hash_unit("fail", key, eps, delta_fail,
-                             self.config.seed, self.config.nonce)
-            fail = draw < delta_fail
+            h = _hash_unit("fail", key, eps, delta_fail,
+                           self.config.seed, self.config.nonce)
+            # h / 2**64 < delta_fail
+            fail = h * delta_fail.denominator < delta_fail.numerator << 64
         if fail:
             self.failures += 1
             return exact * self.config.failure_distortion
@@ -208,13 +217,13 @@ class SimulatedOracles:
             return exact
         lo, hi = _band(exact, eps)
         if mode == "hash":
-            u = _hash_unit("noise", self.problem.instance_key(x), eps,
+            h = _hash_unit("noise", self.problem.instance_key(x), eps,
                            self.config.seed)
-            return lo + int(u * (hi - lo + 1))
+            return lo + (h * (hi - lo + 1) >> 64)  # lo + floor(h/2**64 * span)
         if mode == "extreme":
-            u = _hash_unit("edge", self.problem.instance_key(x), eps,
+            h = _hash_unit("edge", self.problem.instance_key(x), eps,
                            self.config.seed)
-            return hi if u >= Fraction(1, 2) else lo
+            return hi if h >= 1 << 63 else lo  # h / 2**64 >= 1/2
         raise ValueError(f"unknown noise_mode {mode!r}")
 
     def oracles(self) -> CountingOracles:

@@ -7,8 +7,6 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from scipy.stats import chi2
-
 from .record import EmissionRecord
 
 
@@ -48,6 +46,8 @@ def frac_str(f: Fraction | None) -> str:
 
 def chi_square_counts(counts: dict, expected: float) -> tuple[float, float]:
     """Chi-square statistic and p-value against equal expected counts."""
+    from scipy.stats import chi2  # scipy takes ~0.8 s to import; only here
+
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     return stat, float(chi2.sf(stat, len(counts) - 1))
 

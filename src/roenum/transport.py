@@ -77,6 +77,9 @@ def emission_message(index: int, rec: EmissionRecord) -> dict:
     }
 
 
+TIMEOUT_S = 30.0  # longest wait for a slave to connect or send its next frame
+
+
 def run_parallel_tcp(problem, x, delta, m: int, seed: int,
                      oracle_factory) -> list[str]:
     """Run the two-phase pipeline over localhost TCP, one thread per slave.
@@ -84,56 +87,84 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
     The master collects all emissions, then performs the weighted dequeue
     over the full queues. Returns the master's output order, which is the
     order of run_parallel's outputs for the same seed and oracle factory.
+    Raises RuntimeError naming every slave that did not send `done`: one
+    whose session raised, or that did not connect or went silent for
+    TIMEOUT_S.
     """
     assignments, _, _ = master_phase1(problem, oracle_factory(0), x,
                                       Fraction(delta), m)
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(m)
+    listener.settimeout(TIMEOUT_S)
     port = listener.getsockname()[1]
 
     # slave i seeds its session with the i-th draw, whatever order the
     # connections are accepted in, exactly as run_parallel does
     master_rng = random.Random(seed)
     seeds = [master_rng.getrandbits(64) for _ in range(m)]
+    errors: list[Exception] = []
 
     def slave_main():
-        conn = socket.create_connection(("127.0.0.1", port))
         try:
-            a = parse_assignment(recv_frame(conn))
-            gen, _ = slave_session(problem, oracle_factory(a.index), x, a,
-                                   random.Random(seeds[a.index - 1]))
-            for rec in gen:
-                send_frame(conn, emission_message(a.index, rec))
-            send_frame(conn, {"kind": "done", "index": a.index})
-        finally:
-            conn.close()
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=TIMEOUT_S) as conn:
+                a = parse_assignment(recv_frame(conn))
+                gen, _ = slave_session(problem, oracle_factory(a.index), x, a,
+                                       random.Random(seeds[a.index - 1]))
+                for rec in gen:
+                    send_frame(conn, emission_message(a.index, rec))
+                send_frame(conn, {"kind": "done", "index": a.index})
+        except Exception as exc:  # the master reports it with the missing ones
+            errors.append(exc)
 
-    threads = [threading.Thread(target=slave_main) for _ in range(m)]
+    threads = [threading.Thread(target=slave_main, daemon=True)
+               for _ in range(m)]
     for th in threads:
         th.start()
 
-    conns = [listener.accept()[0] for _ in range(m)]
     queues: list[list] = [[] for _ in assignments]
-    for conn, a in zip(conns, assignments):
-        send_frame(conn, assignment_message(a))
+    done: set[int] = set()
 
     def reader(conn):
-        while True:
-            msg = recv_frame(conn)
-            if msg is None or msg["kind"] == "done":
-                return
-            queues[msg["index"] - 1].append(
-                (msg["solution"], Fraction(msg["high"]) - Fraction(msg["low"])))
+        try:
+            while (msg := recv_frame(conn)) is not None:
+                if msg["kind"] == "done":
+                    done.add(msg["index"])
+                    return
+                queues[msg["index"] - 1].append(
+                    (msg["solution"],
+                     Fraction(msg["high"]) - Fraction(msg["low"])))
+        except OSError:  # a timeout or a dropped connection; reported below
+            pass
 
-    readers = [threading.Thread(target=reader, args=(c,)) for c in conns]
-    for th in readers:
-        th.start()
-    for th in readers + threads:
-        th.join()
-    for conn in conns:
-        conn.close()
-    listener.close()
+    conns: list[socket.socket] = []
+    readers: list[threading.Thread] = []
+    try:
+        for a in assignments:
+            try:
+                conn = listener.accept()[0]
+            except TimeoutError:  # a slave never connected; reported below
+                break
+            conns.append(conn)
+            conn.settimeout(TIMEOUT_S)
+            send_frame(conn, assignment_message(a))
+            readers.append(threading.Thread(target=reader, args=(conn,)))
+            readers[-1].start()
+        for th in readers:
+            th.join()
+    finally:
+        for conn in conns:
+            conn.close()
+        listener.close()
+    for th in threads:
+        th.join(TIMEOUT_S)
+
+    missing = [a.index for a in assignments if a.index not in done]
+    if missing:
+        raise RuntimeError(
+            f"slave(s) {missing} of {m} did not send done; slave errors: "
+            f"{errors!r}") from (errors[0] if errors else None)
 
     remaining = [a.width for a in assignments]
     output: list[str] = []

@@ -1,8 +1,10 @@
 import random
+import socket
 from fractions import Fraction
 
 import pytest
 
+from roenum import transport
 from roenum.parallel import (DegeneratePartition, boundary_piece_keys,
                              default_oracle_factory, master_phase1,
                              prefill_target, pswor_run, run_parallel,
@@ -160,3 +162,40 @@ def test_tcp_transport_matches_run_parallel():
     for _ in range(3):
         assert run_parallel_tcp(KNAP, x, F(1, 10), 3, seed=8,
                                 oracle_factory=factory) == expected
+
+
+def test_tcp_transport_names_a_failed_slave(monkeypatch):
+    real_session = transport.slave_session
+
+    def failing_session(problem, oracles, x, a, rng):
+        if a.index == 2:
+            raise ValueError("slave 2 failed")
+        return real_session(problem, oracles, x, a, rng)
+
+    monkeypatch.setattr(transport, "slave_session", failing_session)
+    x = generate_knapsack(8, seed=5)
+    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=5)
+    with pytest.raises(RuntimeError, match=r"slave\(s\) \[2\] of 3") as info:
+        run_parallel_tcp(KNAP, x, F(1, 10), 3, seed=5,
+                         oracle_factory=factory)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_tcp_transport_times_out_on_a_slave_that_never_connects(monkeypatch):
+    real_connect = socket.create_connection
+    calls = []
+
+    def connect_all_but_one(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise ConnectionRefusedError("slave died before connecting")
+        return real_connect(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "TIMEOUT_S", 0.5)
+    monkeypatch.setattr(transport.socket, "create_connection",
+                        connect_all_but_one)
+    x = generate_knapsack(6, seed=5)
+    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=5)
+    with pytest.raises(RuntimeError, match=r"slave\(s\) \[2\] of 2"):
+        run_parallel_tcp(KNAP, x, F(1, 10), 2, seed=5,
+                         oracle_factory=factory)

@@ -1,7 +1,11 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from roenum import problems
 from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
@@ -98,6 +102,50 @@ def test_fpras_failure_frequency():
     p = float(delta_fail)
     sigma = (trials * p * (1 - p)) ** 0.5
     assert abs(fails - trials * p) <= 3 * sigma
+
+
+class CountIsInstance(AllBitstrings):
+    """The instance is its own exact count."""
+
+    def exact_count(self, x: int) -> int:
+        return x
+
+
+def fraction_estimate(mode: str, exact: int, eps: Fraction, h: int) -> int:
+    """Reference: the simulated FPTAS in Fraction arithmetic, with the hash
+    value read as the point u = h / 2**64 of [0, 1)."""
+    u = Fraction(h, 1 << 64)
+    lo = max(math.ceil(exact * (1 - eps)), 1)
+    hi = max(math.floor(exact * (1 + eps)), 1)
+    if mode == "hash":
+        return lo + int(u * (hi - lo + 1))
+    return hi if u >= Fraction(1, 2) else lo
+
+
+HASH_EDGES = (0, (1 << 63) - 1, 1 << 63, (1 << 64) - 1)
+fractions_0_to_2 = st.builds(
+    lambda p, q: Fraction(min(p, 2 * q), q),
+    st.integers(0, 10**6), st.integers(1, 10**6))
+
+
+@given(exact=st.integers(1, 10**40), eps=fractions_0_to_2,
+       delta_fail=fractions_0_to_2,
+       h=st.integers(0, (1 << 64) - 1))
+@example(exact=7, eps=Fraction(3, 2), delta_fail=Fraction(1, 2), h=1 << 63)
+def test_integer_oracles_match_fraction_reference(exact, eps, delta_fail, h):
+    for point in (h, *HASH_EDGES):
+        with mock.patch.object(problems, "_hash_unit", lambda *_: point):
+            for mode in ("hash", "extreme"):
+                sim = SimulatedOracles(CountIsInstance(),
+                                       SimulatedOracleConfig(noise_mode=mode))
+                expected = fraction_estimate(mode, exact, eps, point)
+                assert sim.fptas(exact, eps) == expected
+                failed = (delta_fail > 0
+                          and Fraction(point, 1 << 64) < delta_fail)
+                estimate = sim.fpras(exact, eps, delta_fail)
+                assert sim.failures == failed
+                distorted = exact * sim.config.failure_distortion
+                assert estimate == (distorted if failed else expected)
 
 
 def test_instance_file_roundtrip():
