@@ -77,7 +77,7 @@ def emission_message(index: int, rec: EmissionRecord) -> dict:
     }
 
 
-TIMEOUT_S = 30.0  # longest wait for a slave to connect or send its next frame
+ACCEPT_POLL_S = 0.05  # how often accept() wakes to count slaves that gave up
 
 
 def run_parallel_tcp(problem, x, delta, m: int, seed: int,
@@ -88,27 +88,32 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
     over the full queues. Returns the master's output order, which is the
     order of run_parallel's outputs for the same seed and oracle factory.
     Raises RuntimeError naming every slave that did not send `done`: one
-    whose session raised, or that did not connect or went silent for
-    TIMEOUT_S.
+    that could not connect, or whose session raised (its socket then
+    closes, so the master sees end of stream instead of waiting).
     """
     assignments, _, _ = master_phase1(problem, oracle_factory(0), x,
                                       Fraction(delta), m)
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(m)
-    listener.settimeout(TIMEOUT_S)
+    listener.settimeout(ACCEPT_POLL_S)
     port = listener.getsockname()[1]
 
     # slave i seeds its session with the i-th draw, whatever order the
     # connections are accepted in, exactly as run_parallel does
     master_rng = random.Random(seed)
     seeds = [master_rng.getrandbits(64) for _ in range(m)]
-    errors: list[Exception] = []
+    unconnected: list[Exception] = []  # slaves that failed to connect
+    errors: list[Exception] = []  # slaves that failed after connecting
 
     def slave_main():
         try:
-            with socket.create_connection(("127.0.0.1", port),
-                                          timeout=TIMEOUT_S) as conn:
+            conn = socket.create_connection(("127.0.0.1", port))
+        except Exception as exc:
+            unconnected.append(exc)
+            return
+        try:
+            with conn:
                 a = parse_assignment(recv_frame(conn))
                 gen, _ = slave_session(problem, oracle_factory(a.index), x, a,
                                        random.Random(seeds[a.index - 1]))
@@ -135,20 +140,21 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
                 queues[msg["index"] - 1].append(
                     (msg["solution"],
                      Fraction(msg["high"]) - Fraction(msg["low"])))
-        except OSError:  # a timeout or a dropped connection; reported below
+        except OSError:  # a dropped connection; reported below
             pass
 
     conns: list[socket.socket] = []
     readers: list[threading.Thread] = []
     try:
-        for a in assignments:
+        # every slave either connects or adds itself to `unconnected`
+        while len(conns) + len(unconnected) < m:
             try:
                 conn = listener.accept()[0]
-            except TimeoutError:  # a slave never connected; reported below
-                break
+            except TimeoutError:
+                continue
+            conn.settimeout(None)
             conns.append(conn)
-            conn.settimeout(TIMEOUT_S)
-            send_frame(conn, assignment_message(a))
+            send_frame(conn, assignment_message(assignments[len(conns) - 1]))
             readers.append(threading.Thread(target=reader, args=(conn,)))
             readers[-1].start()
         for th in readers:
@@ -157,14 +163,15 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
         for conn in conns:
             conn.close()
         listener.close()
-    for th in threads:
-        th.join(TIMEOUT_S)
+    for th in threads:  # each has sent done, closed its socket or not connected
+        th.join()
 
     missing = [a.index for a in assignments if a.index not in done]
     if missing:
+        failures = unconnected + errors
         raise RuntimeError(
             f"slave(s) {missing} of {m} did not send done; slave errors: "
-            f"{errors!r}") from (errors[0] if errors else None)
+            f"{failures!r}") from (failures[0] if failures else None)
 
     remaining = [a.width for a in assignments]
     output: list[str] = []

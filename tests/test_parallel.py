@@ -1,5 +1,7 @@
 import random
 import socket
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,6 +166,25 @@ def test_tcp_transport_matches_run_parallel():
                                 oracle_factory=factory) == expected
 
 
+def _tcp_within(seconds, *args, **kwargs):
+    """run_parallel_tcp in a thread; the test fails if it is still waiting."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = run_parallel_tcp(*args, **kwargs)
+        except Exception as exc:
+            result["error"] = exc
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(seconds)
+    assert not th.is_alive(), "run_parallel_tcp is still waiting"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
 def test_tcp_transport_names_a_failed_slave(monkeypatch):
     real_session = transport.slave_session
 
@@ -176,12 +197,11 @@ def test_tcp_transport_names_a_failed_slave(monkeypatch):
     x = generate_knapsack(8, seed=5)
     factory = default_oracle_factory(KNAP, noise_mode="hash", seed=5)
     with pytest.raises(RuntimeError, match=r"slave\(s\) \[2\] of 3") as info:
-        run_parallel_tcp(KNAP, x, F(1, 10), 3, seed=5,
-                         oracle_factory=factory)
+        _tcp_within(60, KNAP, x, F(1, 10), 3, seed=5, oracle_factory=factory)
     assert isinstance(info.value.__cause__, ValueError)
 
 
-def test_tcp_transport_times_out_on_a_slave_that_never_connects(monkeypatch):
+def test_tcp_transport_names_a_slave_that_never_connects(monkeypatch):
     real_connect = socket.create_connection
     calls = []
 
@@ -191,11 +211,41 @@ def test_tcp_transport_times_out_on_a_slave_that_never_connects(monkeypatch):
             raise ConnectionRefusedError("slave died before connecting")
         return real_connect(*args, **kwargs)
 
-    monkeypatch.setattr(transport, "TIMEOUT_S", 0.5)
     monkeypatch.setattr(transport.socket, "create_connection",
                         connect_all_but_one)
     x = generate_knapsack(6, seed=5)
     factory = default_oracle_factory(KNAP, noise_mode="hash", seed=5)
-    with pytest.raises(RuntimeError, match=r"slave\(s\) \[2\] of 2"):
-        run_parallel_tcp(KNAP, x, F(1, 10), 2, seed=5,
-                         oracle_factory=factory)
+    with pytest.raises(RuntimeError, match=r"slave\(s\) \[2\] of 2") as info:
+        _tcp_within(60, KNAP, x, F(1, 10), 2, seed=5, oracle_factory=factory)
+    assert isinstance(info.value.__cause__, ConnectionRefusedError)
+
+
+def test_tcp_transport_waits_for_slow_slaves(monkeypatch):
+    # a late connection and long gaps between frames are not failures
+    real_connect = socket.create_connection
+    real_session = transport.slave_session
+    calls = []
+
+    def late_connect(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            time.sleep(20 * transport.ACCEPT_POLL_S)
+        return real_connect(*args, **kwargs)
+
+    def slow_session(problem, oracles, x, a, rng):
+        gen, dictionary = real_session(problem, oracles, x, a, rng)
+
+        def paced():
+            for rec in gen:
+                time.sleep(0.05)
+                yield rec
+        return paced(), dictionary
+
+    monkeypatch.setattr(transport.socket, "create_connection", late_connect)
+    monkeypatch.setattr(transport, "slave_session", slow_session)
+    x = generate_knapsack(6, seed=5)
+    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=5)
+    expected = [o.solution for o in run_parallel(
+        KNAP, x, F(1, 10), 2, seed=5, oracle_factory=factory).outputs]
+    assert _tcp_within(60, KNAP, x, F(1, 10), 2, seed=5,
+                       oracle_factory=factory) == expected
