@@ -161,11 +161,6 @@ class _SlaveFeed:
         while not self.exhausted and len(self.produced) < k:
             self._pull()
 
-    def queue_len(self, now) -> int:
-        self.pull_until(now)
-        k_max = int((now - self.t) // self.s) if now >= self.t + self.s else 0
-        return max(min(len(self.produced), k_max) - self.dequeued, 0)
-
     def next_arrival(self):
         if self.dequeued < len(self.produced):
             return self.arrival(self.dequeued + 1)
@@ -183,23 +178,31 @@ class ParallelResult:
     prefill_tick: Fraction
     makespan: Fraction
     stalls: int
-    queue_depths: list[tuple]
     assignments: list[RangeAssignment]
     slave_dicts: list[PrefixDictionary] = field(default_factory=list)
     master_dict: PrefixDictionary | None = None
     complete: bool = True
 
 
-def weighted_pick(remaining: list[Fraction], rng: random.Random) -> int:
+def weighted_pick(remaining: list[Fraction], total: Fraction,
+                  rng: random.Random) -> int:
     """Index of a slave drawn with probability proportional to its
-    remaining range width (96 random bits)."""
-    total = sum(w for w in remaining if w > 0)
-    u = Fraction(rng.getrandbits(96), 1 << 96) * total
+    remaining range width; `total` is the sum of the positive widths.
+
+    One draw of 96 random bits gives u = bits/2**96 * total, and the pick
+    is the first positive width w with u < w, u decreasing by each width
+    passed. u is kept as an unreduced integer pair num/den, so each step
+    is a cross-multiplication and no `Fraction` is built."""
+    num = rng.getrandbits(96) * total.numerator
+    den = total.denominator << 96
     for j, w in enumerate(remaining):
-        if w > 0:
-            if u < w:
+        a = w.numerator
+        if a > 0:
+            b = w.denominator
+            scaled, need = num * b, a * den  # u < w  iff  num*b < a*den
+            if scaled < need:
                 return j
-            u -= w
+            num, den = scaled - need, den * b
     raise AssertionError("draw beyond the total remaining width")
 
 
@@ -258,21 +261,21 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
             prefill_tick = max(prefill_tick, Fraction(feed.arrival(k)))
 
     remaining = [a.width for a in assignments]
+    total = sum(remaining)
     pace = (1 + alpha) * Fraction(3, 2) * Fraction(t_ticks, 1) / m
     op_cost = Fraction(t_ticks, 1) / m
 
     outputs: list[EmissionRecord] = []
     output_slaves: list[int] = []
     gaps: list[Fraction] = []
-    queue_depths: list[tuple] = []
     stalls = 0
     prev_time: Fraction | None = None
     now = prefill_tick
 
-    while any(w > 0 for w in remaining):
+    while total:
         if max_outputs is not None and len(outputs) >= max_outputs:
             break
-        idx = weighted_pick(remaining, master_rng)
+        idx = weighted_pick(remaining, total, master_rng)
         feed = feeds[idx]
 
         if mode == "paced":
@@ -296,19 +299,19 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
         record = feed.produced[feed.dequeued]
         feed.dequeued += 1
         remaining[idx] -= record.width
+        total -= record.width
         if prev_time is not None:
             gaps.append(out_time - prev_time)
         prev_time = out_time
         outputs.append(EmissionRecord(record.solution, record.low, record.high,
                                       record.width, record.attempts, out_time))
         output_slaves.append(idx + 1)
-        queue_depths.append(tuple(f.queue_len(out_time) for f in feeds))
         now = out_time
 
     return ParallelResult(
         outputs=outputs, output_slaves=output_slaves, gaps=gaps,
         prefill_q=q_target, prefill_tick=prefill_tick,
-        makespan=now, stalls=stalls, queue_depths=queue_depths,
+        makespan=now, stalls=stalls,
         assignments=assignments, slave_dicts=slave_dicts,
         master_dict=master_dict,
         complete=all(w == 0 for w in remaining))

@@ -106,6 +106,9 @@ class Knapsack(SelfReducibleProblem):
         if hit is not None:
             return hit
         n, cap = len(x.sizes), x.capacity
+        if cap >= sum(x.sizes):  # every subset fits: no DP over capacity
+            self._count_cache[key] = 1 << n
+            return 1 << n
         if n * max(cap, 1) > self.budget:
             raise BudgetExceeded(f"n*C = {n * cap} over DP budget")
         # table[c] = packings of a prefix of items with total size exactly c
@@ -189,7 +192,8 @@ class SimulatedOracles:
 
     def fptas(self, x, eps: Fraction) -> int:
         self.calls["fptas"] += 1
-        return self._estimate(x, _as_fraction(eps))
+        return self._estimate(x, _as_fraction(eps),
+                              self.problem.exact_count(x))
 
     def fpras(self, x, eps: Fraction, delta_fail: Fraction) -> int:
         self.calls["fpras"] += 1
@@ -206,10 +210,10 @@ class SimulatedOracles:
         if fail:
             self.failures += 1
             return exact * self.config.failure_distortion
-        return self._estimate(x, eps)
+        return self._estimate(x, eps, exact)
 
-    def _estimate(self, x, eps: Fraction) -> int:
-        exact = self.problem.exact_count(x)
+    def _estimate(self, x, eps: Fraction, exact: int) -> int:
+        """The simulated FPTAS value for x, given its exact count."""
         if exact == 0:
             return 0
         mode = self.config.noise_mode

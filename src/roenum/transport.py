@@ -13,6 +13,7 @@ import random
 import socket
 import struct
 import threading
+from collections import deque
 from fractions import Fraction
 
 from .parallel import (RangeAssignment, master_phase1, slave_session,
@@ -128,7 +129,7 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
     for th in threads:
         th.start()
 
-    queues: list[list] = [[] for _ in assignments]
+    queues: list[deque] = [deque() for _ in assignments]
     done: set[int] = set()
 
     def reader(conn):
@@ -174,10 +175,12 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
             f"{failures!r}") from (failures[0] if failures else None)
 
     remaining = [a.width for a in assignments]
+    total = sum(remaining)
     output: list[str] = []
-    while any(w > 0 for w in remaining):
-        idx = weighted_pick(remaining, master_rng)
-        word, width = queues[idx].pop(0)
+    while total:
+        idx = weighted_pick(remaining, total, master_rng)
+        word, width = queues[idx].popleft()
         remaining[idx] -= width
+        total -= width
         output.append(word)
     return output

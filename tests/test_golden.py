@@ -3,7 +3,10 @@
 The digests were captured from the interval-tree implementation that the
 self-reduction trie replaced; the trie must reproduce every emission
 (solution, endpoints, width, attempts, tick), every slave's dictionary and
-every parallel output byte for byte. Regenerate a digest only for a change
+every parallel output byte for byte. The greedy-mode parallel digests
+were captured from the master loop that still scanned every slave's queue
+after each output and summed the remaining widths in `Fraction`; the lean
+dequeue must reproduce them too. Regenerate a digest only for a change
 that is meant to alter the emitted sequences:
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.print_digests()"
@@ -90,23 +93,25 @@ def span_rows(name, noise, seed):
     return rows
 
 
-def parallel_rows(name, noise, seed):
+def parallel_rows(name, noise, seed, mode="paced"):
     problem, x = PROBLEMS[name]
     factory = default_oracle_factory(problem, noise_mode=noise, seed=seed)
     result = run_parallel(problem, x, F(1, 20), 4, seed=seed,
-                          oracle_factory=factory, mode="paced",
+                          oracle_factory=factory, mode=mode,
                           s_ticks=100, t_ticks=100)
     return (_records(result.outputs), result.output_slaves, result.stalls,
             str(result.prefill_tick))
 
 
 KINDS = {"aia": aia_rows, "axa": axa_rows, "access": access_rows,
-         "span": span_rows, "parallel": parallel_rows}
+         "span": span_rows, "parallel": parallel_rows,
+         "greedy": lambda *case: parallel_rows(*case, mode="greedy")}
 CASES = [(kind, name, noise, seed)
          for kind in ("aia", "axa", "access", "span")
          for name in PROBLEMS
          for noise, seed in (("none", 1), ("hash", 2), ("extreme", 3))]
-CASES += [("parallel", name, "hash", 5) for name in PROBLEMS]
+CASES += [(kind, name, "hash", 5)
+          for kind in ("parallel", "greedy") for name in PROBLEMS]
 
 GOLDEN = {
     ("aia", "allbits9", "none", 1): "8fd6af693351000c",
@@ -135,6 +140,8 @@ GOLDEN = {
     ("span", "knap12", "extreme", 3): "b2f7b7167186bee3",
     ("parallel", "allbits9", "hash", 5): "72c3132a6983d4a4",
     ("parallel", "knap12", "hash", 5): "b2d7f021501e837d",
+    ("greedy", "allbits9", "hash", 5): "75ad7ed7d36d8b67",
+    ("greedy", "knap12", "hash", 5): "94211dc94459d5ec",
 }
 
 

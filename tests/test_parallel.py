@@ -5,12 +5,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from roenum import transport
 from roenum.parallel import (DegeneratePartition, boundary_piece_keys,
                              default_oracle_factory, master_phase1,
                              prefill_target, pswor_run, run_parallel,
-                             slave_session)
+                             slave_session, weighted_pick)
 from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, generate_knapsack)
 from roenum.transport import run_parallel_tcp
@@ -65,6 +66,52 @@ def test_slaves_reuse_boundary_pieces():
         # the piece holds exactly the master's entries for the boundary keys
         for key, value in a.piece.items():
             assert result.master_dict.entries[key] == value
+
+
+class FixedDraw:
+    """Stands in for the master's rng: its one 96-bit draw is `bits`."""
+
+    def __init__(self, bits):
+        self.bits = bits
+
+    def getrandbits(self, k):
+        assert k == 96
+        return self.bits
+
+
+def fraction_pick(remaining, bits):
+    """Reference: the weighted pick in Fraction arithmetic."""
+    u = F(bits, 1 << 96) * sum(w for w in remaining if w > 0)
+    for j, w in enumerate(remaining):
+        if w > 0:
+            if u < w:
+                return j
+            u -= w
+    raise AssertionError("draw beyond the total remaining width")
+
+
+DRAW_EDGES = (0, (1 << 96) - 1)
+# big arbitrary widths, and small dyadic ones that draws of the form k/256
+# hit exactly at the boundaries between slaves
+WIDTH = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(1, 10**30), st.integers(1, 10**30)),
+    st.builds(lambda k, e: F(k, 1 << e), st.integers(1, 8), st.integers(0, 6)))
+DRAW = st.one_of(st.integers(0, (1 << 96) - 1),
+                 st.integers(0, 255).map(lambda k: k << 88))
+
+
+@given(remaining=st.lists(WIDTH, min_size=1, max_size=8).filter(
+           lambda ws: any(w > 0 for w in ws)),
+       bits=DRAW)
+@example(remaining=[F(0), F(3, 7), F(0)], bits=0)  # one positive width
+@example(remaining=[F(5, 3)], bits=(1 << 96) - 1)
+@example(remaining=[F(1, 2), F(0), F(1, 2)], bits=1 << 95)
+def test_weighted_pick_matches_fraction_reference(remaining, bits):
+    total = sum(w for w in remaining if w > 0)
+    for draw in (bits, *DRAW_EDGES):
+        assert weighted_pick(remaining, total, FixedDraw(draw)) == \
+            fraction_pick(remaining, draw)
 
 
 def test_prefill_target_reference_value():

@@ -31,6 +31,16 @@ def test_knapsack_count_matches_brute_force_on_random_instances():
         assert KS.exact_count(inst) == len(brute_force_solutions(KS, inst))
 
 
+@pytest.mark.parametrize("slack", [-2, -1, 0, 1, 5, 10**9])
+def test_knapsack_count_around_the_size_sum(slack):
+    # at and above sum(sizes) every subset fits and no DP is run: the last
+    # capacity is far over the DP budget
+    sizes = (3, 1, 4, 1, 5, 9)
+    inst = KnapsackInstance(sum(sizes) + slack, sizes)
+    assert Knapsack().exact_count(inst) == \
+        len(brute_force_solutions(KS, inst))
+
+
 def test_all_bitstrings_closed_form():
     ab = AllBitstrings()
     for n in range(6):
@@ -102,6 +112,23 @@ def test_fpras_failure_frequency():
     p = float(delta_fail)
     sigma = (trials * p * (1 - p)) ** 0.5
     assert abs(fails - trials * p) <= 3 * sigma
+
+
+def test_fpras_counts_once_per_call():
+    problem = Knapsack()
+    counted = []
+    real_count = problem.exact_count
+
+    def counting(x):
+        counted.append(x)
+        return real_count(x)
+
+    problem.exact_count = counting
+    sim = SimulatedOracles(problem, SimulatedOracleConfig(noise_mode="hash"))
+    inst = KnapsackInstance(7, (2, 2, 3, 5))
+    sim.fpras(inst, Fraction(1, 8), Fraction(0))
+    assert sim.failures == 0
+    assert counted == [inst]
 
 
 class CountIsInstance(AllBitstrings):
