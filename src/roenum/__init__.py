@@ -5,7 +5,7 @@ from .fptas import IntervalHit, aia_enumerate, bernoulli_less, iaccess
 from .fpras import PrefixDictionary, axa_enumerate, xaccess
 from .parallel import (ParallelResult, RangeAssignment, master_phase1,
                        prefill_target, run_parallel, slave_session)
-from .problem import (BudgetExceeded, CountingOracles, SelfReducibleProblem,
+from .problem import (BudgetExceeded, SelfReducibleProblem,
                       brute_force_solutions, verify_self_reducibility)
 from .problems import (AllBitstrings, Knapsack, KnapsackInstance,
                        SimulatedOracleConfig, SimulatedOracles,
@@ -15,7 +15,7 @@ from .swor import swor_enumerate
 from .trie import SelfReductionTrie
 
 __all__ = [
-    "AllBitstrings", "BudgetExceeded", "CountingOracles", "EmissionRecord",
+    "AllBitstrings", "BudgetExceeded", "EmissionRecord",
     "IntervalHit", "Knapsack", "KnapsackInstance", "ParallelResult",
     "PrefixDictionary", "RangeAssignment", "SelfReducibleProblem",
     "SelfReductionTrie", "SimulatedOracleConfig", "SimulatedOracles",

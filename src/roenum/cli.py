@@ -16,8 +16,8 @@ from pathlib import Path
 from . import exact, fptas, fpras, parallel, stats, swor
 from .problem import brute_force_solutions, verify_self_reducibility
 from .problems import (SimulatedOracleConfig, SimulatedOracles,
-                       format_instance, generate_knapsack, parse_instance,
-                       Knapsack)
+                       default_oracle_factory, format_instance,
+                       generate_knapsack, parse_instance, Knapsack)
 from .record import EmissionRecord
 
 
@@ -52,10 +52,8 @@ def _run_one(problem, x, args, seed: int, nonce: int = 0) -> stats.RunReport:
         emissions = list(fpras.axa_enumerate(
             problem, sim.fpras, x, Fraction(args.delta), rng,
             eps_mode=args.epsilon_mode))
-    elif algo == "swor":
+    else:  # "swor"
         emissions = list(swor.swor_enumerate(problem, sim.exact, x, rng))
-    else:
-        raise SystemExit(2)
     return stats.RunReport(algo, getattr(problem, "name", "?"), seed, emissions)
 
 
@@ -84,7 +82,7 @@ def cmd_parallel(args) -> int:
         report = stats.RunReport("pswor", problem.name, args.seed, outputs)
         _write(args, stats.emissions_csv(report))
         return 0
-    factory = parallel.default_oracle_factory(
+    factory = default_oracle_factory(
         problem, noise_mode=args.noise, seed=args.seed)
     if args.transport == "tcp":
         from . import transport

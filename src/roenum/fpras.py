@@ -42,9 +42,6 @@ class PrefixDictionary:
         self.misses = 0
         self.midpoint_fallbacks = 0  # diagnostic: adversarial all-zero estimates
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def lookup(self, prefix: str, compute: Callable[[], int]) -> int:
         value = self.entries.get(prefix)
         if value is not None:

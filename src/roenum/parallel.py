@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import chain, islice
+from typing import Callable, Iterator
 
 from .exact import raccess
 from .fpras import PrefixDictionary, axa_enumerate, fpras_trie, root_estimate
 from .problem import SelfReducibleProblem
-from .problems import SimulatedOracleConfig, SimulatedOracles
 from .record import EmissionRecord
 
 ZERO = Fraction(0)
@@ -66,7 +66,7 @@ def master_phase1(problem: SelfReducibleProblem, fpras: Callable, x,
                   eps_mode: str = "proof"):
     """Compute the m range assignments.
 
-    Returns (assignments, master_dictionary, boundary_words). Range i ends
+    Returns (assignments, master_dictionary). Range i ends
     at the lower endpoint of the interval containing grid point i/m, so
     the boundary solution itself belongs to slave i+1.
     """
@@ -101,7 +101,7 @@ def master_phase1(problem: SelfReducibleProblem, fpras: Callable, x,
         assignments.append(RangeAssignment(
             i, bounds[i - 1], bounds[i], dictionary.piece(keys),
             phi_star, delta))
-    return assignments, dictionary, boundary_words
+    return assignments, dictionary
 
 
 def slave_session(problem: SelfReducibleProblem, fpras: Callable, x,
@@ -128,47 +128,6 @@ def prefill_target(m: int, alpha: Fraction, delta_star: Fraction) -> int:
     return math.ceil(bound)
 
 
-class _SlaveFeed:
-    """Lazy view of one slave's emission stream with virtual arrival times."""
-
-    def __init__(self, gen, s_ticks, t_ticks):
-        self.gen = gen
-        self.s = s_ticks
-        self.t = t_ticks
-        self.produced: list[EmissionRecord] = []
-        self.dequeued = 0
-        self.exhausted = False
-
-    def arrival(self, k: int):
-        """Arrival tick of the k-th emission (1-based): k*s + t."""
-        return k * self.s + self.t
-
-    def _pull(self) -> bool:
-        if self.exhausted:
-            return False
-        try:
-            self.produced.append(next(self.gen))
-            return True
-        except StopIteration:
-            self.exhausted = True
-            return False
-
-    def pull_until(self, now):
-        while not self.exhausted and self.arrival(len(self.produced) + 1) <= now:
-            self._pull()
-
-    def pull_count(self, k: int):
-        while not self.exhausted and len(self.produced) < k:
-            self._pull()
-
-    def next_arrival(self):
-        if self.dequeued < len(self.produced):
-            return self.arrival(self.dequeued + 1)
-        if self._pull():
-            return self.arrival(self.dequeued + 1)
-        return None
-
-
 @dataclass
 class ParallelResult:
     outputs: list[EmissionRecord]          # tick = master output time
@@ -179,9 +138,9 @@ class ParallelResult:
     makespan: Fraction
     stalls: int
     assignments: list[RangeAssignment]
-    slave_dicts: list[PrefixDictionary] = field(default_factory=list)
-    master_dict: PrefixDictionary | None = None
-    complete: bool = True
+    slave_dicts: list[PrefixDictionary]
+    master_dict: PrefixDictionary
+    complete: bool
 
 
 def weighted_pick(remaining: list[Fraction], total: Fraction,
@@ -206,22 +165,29 @@ def weighted_pick(remaining: list[Fraction], total: Fraction,
     raise AssertionError("draw beyond the total remaining width")
 
 
-def default_oracle_factory(problem, noise_mode="none", seed=0,
-                           distortion=2, forced=frozenset()):
-    """Per-role FPRAS factory: role 0 is the master, 1..m the slaves; each
-    role gets its own failure nonce (session-private randomness)."""
+def dequeue(streams: list[Iterator[EmissionRecord]],
+            remaining: list[Fraction],
+            rng: random.Random) -> Iterator[tuple[int, EmissionRecord]]:
+    """The master's phase-II order: yields (slave index, record), each
+    from a slave drawn by `weighted_pick`, until no width remains.
 
-    def factory(role: int):
-        cfg = SimulatedOracleConfig(noise_mode=noise_mode, seed=seed,
-                                    failure_distortion=distortion,
-                                    nonce=role, forced_failures=forced)
-        return SimulatedOracles(problem, cfg).fpras
-
-    return factory
+    Advances only the picked stream, by one record, and subtracts the
+    record's width from `remaining` in place."""
+    total = sum(remaining)
+    while total:
+        idx = weighted_pick(remaining, total, rng)
+        record = next(streams[idx], None)
+        if record is None:
+            raise RuntimeError(
+                f"slave {idx + 1} drained with remaining width "
+                f"{remaining[idx]} (accounting bug)")
+        remaining[idx] -= record.width
+        total -= record.width
+        yield idx, record
 
 
 def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
-                 oracle_factory: Callable | None = None,
+                 oracle_factory: Callable,
                  mode: str = "greedy",
                  alpha: Fraction = Fraction(1, 2),
                  delta_star: Fraction = Fraction(1, 10),
@@ -233,80 +199,57 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
     delta = Fraction(delta)
     alpha = Fraction(alpha)
     delta_star = Fraction(delta_star)
-    if oracle_factory is None:
-        oracle_factory = default_oracle_factory(problem)
     master_rng = random.Random(seed)
 
-    assignments, master_dict, _ = master_phase1(
+    assignments, master_dict = master_phase1(
         problem, oracle_factory(0), x, delta, m, eps_mode)
+    q_target = q_override if q_override is not None else \
+        prefill_target(m, alpha, delta_star)
 
-    feeds: list[_SlaveFeed] = []
+    # Prefill: wait until each queue holds min(Q, remaining) records. The
+    # k-th record of a slave arrives at tick k*s + t however far its stream
+    # has been read, so the stream itself serves as the queue.
+    streams = []
     slave_dicts: list[PrefixDictionary] = []
+    prefill_tick = ZERO
     for a in assignments:
         rng = random.Random(master_rng.getrandbits(64))
         gen, d_i = slave_session(problem, oracle_factory(a.index), x, a,
                                  rng, eps_mode)
-        feeds.append(_SlaveFeed(gen, s_ticks, t_ticks))
+        head = list(islice(gen, q_target))
+        if head:
+            prefill_tick = max(prefill_tick,
+                               Fraction(len(head) * s_ticks + t_ticks))
+        streams.append(chain(head, gen))
         slave_dicts.append(d_i)
 
-    q_target = q_override if q_override is not None else \
-        prefill_target(m, alpha, delta_star)
-
-    # Prefill: wait until each queue holds min(Q, remaining) records.
-    prefill_tick = ZERO
-    for feed in feeds:
-        feed.pull_count(q_target)
-        k = min(q_target, len(feed.produced))
-        if k > 0:
-            prefill_tick = max(prefill_tick, Fraction(feed.arrival(k)))
-
     remaining = [a.width for a in assignments]
-    total = sum(remaining)
-    pace = (1 + alpha) * Fraction(3, 2) * Fraction(t_ticks, 1) / m
-    op_cost = Fraction(t_ticks, 1) / m
+    if mode == "paced":
+        step = (1 + alpha) * Fraction(3, 2) * Fraction(t_ticks, 1) / m
+    else:
+        step = Fraction(t_ticks, 1) / m  # the master's cost per dequeue
 
     outputs: list[EmissionRecord] = []
     output_slaves: list[int] = []
     gaps: list[Fraction] = []
+    taken = [0] * m
     stalls = 0
-    prev_time: Fraction | None = None
     now = prefill_tick
-
-    while total:
-        if max_outputs is not None and len(outputs) >= max_outputs:
-            break
-        idx = weighted_pick(remaining, total, master_rng)
-        feed = feeds[idx]
-
-        if mode == "paced":
-            scheduled = prefill_tick if prev_time is None else prev_time + pace
-        else:
-            scheduled = prefill_tick if prev_time is None else prev_time + op_cost
-        feed.pull_until(scheduled)
-        if feed.dequeued < len(feed.produced) and \
-                feed.arrival(feed.dequeued + 1) <= scheduled:
-            out_time = scheduled
-        else:
-            arrival = feed.next_arrival()
-            if arrival is None:
-                raise RuntimeError(
-                    f"slave {idx + 1} drained with remaining width "
-                    f"{remaining[idx]} (accounting bug)")
-            out_time = max(scheduled, Fraction(arrival))
+    for idx, record in islice(dequeue(streams, remaining, master_rng),
+                              max_outputs):
+        taken[idx] += 1
+        out_time = now + step if outputs else prefill_tick
+        arrival = taken[idx] * s_ticks + t_ticks
+        if arrival > out_time:  # the record is not in its queue yet
+            out_time = Fraction(arrival)
             if mode == "paced":
                 stalls += 1
-
-        record = feed.produced[feed.dequeued]
-        feed.dequeued += 1
-        remaining[idx] -= record.width
-        total -= record.width
-        if prev_time is not None:
-            gaps.append(out_time - prev_time)
-        prev_time = out_time
+        if outputs:
+            gaps.append(out_time - now)
+        now = out_time
         outputs.append(EmissionRecord(record.solution, record.low, record.high,
                                       record.width, record.attempts, out_time))
         output_slaves.append(idx + 1)
-        now = out_time
 
     return ParallelResult(
         outputs=outputs, output_slaves=output_slaves, gaps=gaps,
@@ -314,7 +257,7 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
         makespan=now, stalls=stalls,
         assignments=assignments, slave_dicts=slave_dicts,
         master_dict=master_dict,
-        complete=all(w == 0 for w in remaining))
+        complete=not any(remaining))
 
 
 def pswor_run(problem: SelfReducibleProblem, exact: Callable, x, m: int,

@@ -9,8 +9,6 @@ so endpoint comparisons are exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
 
 
 class BudgetExceeded(Exception):
@@ -48,20 +46,6 @@ class SelfReducibleProblem:
 
     def instance_key(self, x) -> tuple:
         raise NotImplementedError
-
-
-@dataclass
-class CountingOracles:
-    """The three counting-oracle flavors a problem may provide.
-
-    exact(x) -> int                        exact |Sol(x)|
-    fptas(x, eps) -> int                   deterministic, relative error <= eps
-    fpras(x, eps, delta_fail) -> int       eps-accurate w.p. >= 1 - delta_fail
-    """
-
-    exact: Callable[[Any], int] | None = None
-    fptas: Callable[[Any, Any], int] | None = None
-    fpras: Callable[[Any, Any, Any], int] | None = None
 
 
 def brute_force_solutions(problem: SelfReducibleProblem, x,

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .problem import BudgetExceeded, CountingOracles, SelfReducibleProblem
+from .problem import BudgetExceeded, SelfReducibleProblem
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ class SimulatedOracles:
 
     def fptas(self, x, eps: Fraction) -> int:
         self.calls["fptas"] += 1
-        return self._estimate(x, _as_fraction(eps),
+        return self._estimate(self.problem.instance_key(x), _as_fraction(eps),
                               self.problem.exact_count(x))
 
     def fpras(self, x, eps: Fraction, delta_fail: Fraction) -> int:
@@ -210,10 +210,10 @@ class SimulatedOracles:
         if fail:
             self.failures += 1
             return exact * self.config.failure_distortion
-        return self._estimate(x, eps, exact)
+        return self._estimate(key, eps, exact)
 
-    def _estimate(self, x, eps: Fraction, exact: int) -> int:
-        """The simulated FPTAS value for x, given its exact count."""
+    def _estimate(self, key: tuple, eps: Fraction, exact: int) -> int:
+        """The simulated FPTAS value for an instance, given its key and count."""
         if exact == 0:
             return 0
         mode = self.config.noise_mode
@@ -221,18 +221,28 @@ class SimulatedOracles:
             return exact
         lo, hi = _band(exact, eps)
         if mode == "hash":
-            h = _hash_unit("noise", self.problem.instance_key(x), eps,
+            h = _hash_unit("noise", key, eps,
                            self.config.seed)
             return lo + (h * (hi - lo + 1) >> 64)  # lo + floor(h/2**64 * span)
         if mode == "extreme":
-            h = _hash_unit("edge", self.problem.instance_key(x), eps,
+            h = _hash_unit("edge", key, eps,
                            self.config.seed)
             return hi if h >= 1 << 63 else lo  # h / 2**64 >= 1/2
         raise ValueError(f"unknown noise_mode {mode!r}")
 
-    def oracles(self) -> CountingOracles:
-        return CountingOracles(exact=self.exact, fptas=self.fptas,
-                               fpras=self.fpras)
+
+def default_oracle_factory(problem, noise_mode="none", seed=0,
+                           distortion=2, forced=frozenset()):
+    """Per-role FPRAS factory: role 0 is the master, 1..m the slaves; each
+    role gets its own failure nonce (session-private randomness)."""
+
+    def factory(role: int):
+        cfg = SimulatedOracleConfig(noise_mode=noise_mode, seed=seed,
+                                    failure_distortion=distortion,
+                                    nonce=role, forced_failures=forced)
+        return SimulatedOracles(problem, cfg).fpras
+
+    return factory
 
 
 # ---------------------------------------------------------------------------

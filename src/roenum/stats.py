@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .record import EmissionRecord
@@ -20,7 +20,6 @@ class RunReport:
     instance: str
     seed: int
     emissions: list[EmissionRecord]
-    extras: dict = field(default_factory=dict)
 
     @property
     def solutions(self) -> list[str]:

@@ -13,11 +13,9 @@ import random
 import socket
 import struct
 import threading
-from collections import deque
 from fractions import Fraction
 
-from .parallel import (RangeAssignment, master_phase1, slave_session,
-                       weighted_pick)
+from .parallel import RangeAssignment, dequeue, master_phase1, slave_session
 from .record import EmissionRecord
 from .stats import frac_str
 
@@ -78,6 +76,12 @@ def emission_message(index: int, rec: EmissionRecord) -> dict:
     }
 
 
+def parse_emission(msg: dict) -> EmissionRecord:
+    low, high = Fraction(msg["low"]), Fraction(msg["high"])
+    return EmissionRecord(msg["solution"], low, high, high - low,
+                          msg["attempts"])
+
+
 ACCEPT_POLL_S = 0.05  # how often accept() wakes to count slaves that gave up
 
 
@@ -85,15 +89,16 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
                      oracle_factory) -> list[str]:
     """Run the two-phase pipeline over localhost TCP, one thread per slave.
 
-    The master collects all emissions, then performs the weighted dequeue
-    over the full queues. Returns the master's output order, which is the
-    order of run_parallel's outputs for the same seed and oracle factory.
+    The master collects every slave's emissions into its queue, then
+    drives the same `dequeue` as run_parallel over the full queues.
+    Returns the master's output order, which is the order of
+    run_parallel's outputs for the same seed and oracle factory.
     Raises RuntimeError naming every slave that did not send `done`: one
     that could not connect, or whose session raised (its socket then
     closes, so the master sees end of stream instead of waiting).
     """
-    assignments, _, _ = master_phase1(problem, oracle_factory(0), x,
-                                      Fraction(delta), m)
+    assignments, _ = master_phase1(problem, oracle_factory(0), x,
+                                   Fraction(delta), m)
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(m)
@@ -129,7 +134,7 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
     for th in threads:
         th.start()
 
-    queues: list[deque] = [deque() for _ in assignments]
+    queues: list[list[EmissionRecord]] = [[] for _ in assignments]
     done: set[int] = set()
 
     def reader(conn):
@@ -138,9 +143,7 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
                 if msg["kind"] == "done":
                     done.add(msg["index"])
                     return
-                queues[msg["index"] - 1].append(
-                    (msg["solution"],
-                     Fraction(msg["high"]) - Fraction(msg["low"])))
+                queues[msg["index"] - 1].append(parse_emission(msg))
         except OSError:  # a dropped connection; reported below
             pass
 
@@ -174,13 +177,6 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
             f"slave(s) {missing} of {m} did not send done; slave errors: "
             f"{failures!r}") from (failures[0] if failures else None)
 
-    remaining = [a.width for a in assignments]
-    total = sum(remaining)
-    output: list[str] = []
-    while total:
-        idx = weighted_pick(remaining, total, master_rng)
-        word, width = queues[idx].popleft()
-        remaining[idx] -= width
-        total -= width
-        output.append(word)
-    return output
+    widths = [a.width for a in assignments]
+    return [r.solution for _, r in
+            dequeue([iter(q) for q in queues], widths, master_rng)]

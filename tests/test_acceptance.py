@@ -16,12 +16,11 @@ import pytest
 from roenum.exact import ara_enumerate, raccess
 from roenum.fpras import axa_enumerate, root_estimate
 from roenum.fptas import aia_enumerate
-from roenum.parallel import (default_oracle_factory, master_phase1,
-                             prefill_target, run_parallel)
+from roenum.parallel import master_phase1, prefill_target, run_parallel
 from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
-                             generate_knapsack)
+                             default_oracle_factory, generate_knapsack)
 from roenum.stats import delay_profile, first_emission_test, \
     position_frequency_test, RunReport
 from roenum.swor import swor_enumerate
@@ -296,7 +295,7 @@ def test_criterion_09_partition_quality():
     bad = []
     factory = default_oracle_factory(ALLBITS)
     for m in (2, 4, 8):
-        assignments, _, _ = master_phase1(ALLBITS, factory(0), n, F(0), m)
+        assignments, _ = master_phase1(ALLBITS, factory(0), n, F(0), m)
         if assignments[0].low != F(0) or assignments[-1].high != F(1):
             bad.append((m, "union"))
         for a, b in zip(assignments, assignments[1:]):

@@ -20,10 +20,10 @@ import pytest
 
 from roenum.fpras import PrefixDictionary, axa_enumerate, xaccess
 from roenum.fptas import aia_enumerate, iaccess
-from roenum.parallel import (default_oracle_factory, master_phase1,
-                             run_parallel, slave_session)
+from roenum.parallel import master_phase1, run_parallel, slave_session
 from roenum.problems import (AllBitstrings, Knapsack, SimulatedOracleConfig,
-                             SimulatedOracles, generate_knapsack)
+                             SimulatedOracles, default_oracle_factory,
+                             generate_knapsack)
 
 F = Fraction
 PROBLEMS = {"allbits9": (AllBitstrings(), 9),
@@ -83,7 +83,7 @@ def span_rows(name, noise, seed):
     problem, x = PROBLEMS[name]
     factory = default_oracle_factory(problem, noise_mode=noise, seed=seed,
                                      forced=_forced(problem, x))
-    assignments, master, _ = master_phase1(problem, factory(0), x, F(1, 4), 4)
+    assignments, master = master_phase1(problem, factory(0), x, F(1, 4), 4)
     rows = [sorted(master.entries.items())]
     for a in assignments:
         gen, d = slave_session(problem, factory(a.index), x, a,

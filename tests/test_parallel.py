@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from roenum import transport
+from roenum import parallel, transport
 from roenum.parallel import (DegeneratePartition, boundary_piece_keys,
-                             default_oracle_factory, master_phase1,
-                             prefill_target, pswor_run, run_parallel,
-                             slave_session, weighted_pick)
+                             dequeue, master_phase1, prefill_target,
+                             pswor_run, run_parallel, slave_session,
+                             weighted_pick)
 from roenum.problem import brute_force_solutions
-from roenum.problems import (AllBitstrings, Knapsack, generate_knapsack)
+from roenum.problems import (AllBitstrings, Knapsack, default_oracle_factory,
+                             generate_knapsack)
 from roenum.transport import run_parallel_tcp
 
 F = Fraction
@@ -28,17 +29,19 @@ def test_boundary_piece_keys():
 
 def test_master_phase1_allbits_m2_exact():
     factory = default_oracle_factory(ALLBITS)
-    assignments, _, words = master_phase1(ALLBITS, factory(0), 3, F(1, 10), 2)
+    assignments, _ = master_phase1(ALLBITS, factory(0), 3, F(1, 10), 2)
     assert [(a.low, a.high) for a in assignments] == \
         [(F(0), F(1, 2)), (F(1, 2), F(1))]
-    assert words == ["100"]
+    # the one boundary solution is "100": both slaves share its piece
+    for a in assignments:
+        assert sorted(a.piece) == sorted(boundary_piece_keys("100"))
     assert all(a.phi_star == F(4, 9) / 8 for a in assignments)
 
 
 def test_master_phase1_partition_is_exact():
     x = generate_knapsack(10, seed=3)
     factory = default_oracle_factory(KNAP, noise_mode="hash", seed=3)
-    assignments, _, _ = master_phase1(KNAP, factory(0), x, F(1, 20), 4)
+    assignments, _ = master_phase1(KNAP, factory(0), x, F(1, 20), 4)
     assert assignments[0].low == F(0)
     assert assignments[-1].high == F(1)
     for a, b in zip(assignments, assignments[1:]):
@@ -181,6 +184,39 @@ def test_run_parallel_max_outputs_truncates():
                           max_outputs=5, q_override=1)
     assert len(result.outputs) == 5
     assert not result.complete
+
+
+def test_dequeue_names_a_slave_drained_early():
+    with pytest.raises(RuntimeError, match="slave 1 drained"):
+        list(dequeue([iter([])], [F(1)], random.Random(0)))
+
+
+def test_run_parallel_reads_no_record_past_its_output(monkeypatch):
+    # after the prefill of Q records, each output advances only the slave
+    # it was taken from, by one record
+    q, cap = 3, 7
+    pulls = {}
+    real_session = parallel.slave_session
+
+    def counted_session(problem, oracles, x, a, rng, eps_mode):
+        gen, dictionary = real_session(problem, oracles, x, a, rng, eps_mode)
+        pulls[a.index] = 0
+
+        def counted():
+            for rec in gen:
+                pulls[a.index] += 1
+                yield rec
+        return counted(), dictionary
+
+    monkeypatch.setattr(parallel, "slave_session", counted_session)
+    result = run_parallel(ALLBITS, 6, F(1, 10), 3, seed=4,
+                          oracle_factory=default_oracle_factory(ALLBITS),
+                          s_ticks=1, t_ticks=30, q_override=q,
+                          max_outputs=cap)
+    assert len(result.outputs) == cap
+    assert sorted(pulls) == [1, 2, 3]
+    for index, n in pulls.items():
+        assert n <= q + result.output_slaves.count(index)
 
 
 def test_pswor_complete_and_paced_by_s():

@@ -114,6 +114,26 @@ def test_fpras_failure_frequency():
     assert abs(fails - trials * p) <= 3 * sigma
 
 
+class KeyCountingKnapsack(Knapsack):
+    def __init__(self):
+        super().__init__()
+        self.key_calls = 0
+
+    def instance_key(self, x):
+        self.key_calls += 1
+        return super().instance_key(x)
+
+
+def test_fpras_builds_the_instance_key_once():
+    # the failure draw and the noise draw hash the same key
+    problem = KeyCountingKnapsack()
+    sim = SimulatedOracles(problem, SimulatedOracleConfig(noise_mode="hash"))
+    inst = KnapsackInstance(7, (2, 2, 3, 5))
+    sim.fpras(inst, Fraction(1, 8), Fraction(1, 16))
+    assert sim.failures == 0
+    assert problem.key_calls == 1
+
+
 def test_fpras_counts_once_per_call():
     problem = Knapsack()
     counted = []
