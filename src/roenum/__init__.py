@@ -10,7 +10,7 @@ from .problem import (BudgetExceeded, SelfReducibleProblem,
 from .problems import (AllBitstrings, Knapsack, KnapsackInstance,
                        SimulatedOracleConfig, SimulatedOracles,
                        generate_knapsack)
-from .record import EmissionRecord, VirtualClock
+from .record import EmissionRecord
 from .swor import swor_enumerate
 from .trie import SelfReductionTrie
 
@@ -19,7 +19,7 @@ __all__ = [
     "IntervalHit", "Knapsack", "KnapsackInstance", "ParallelResult",
     "PrefixDictionary", "RangeAssignment", "SelfReducibleProblem",
     "SelfReductionTrie", "SimulatedOracleConfig", "SimulatedOracles",
-    "SparsePermutation", "VirtualClock", "aia_enumerate", "ara_enumerate",
+    "SparsePermutation", "aia_enumerate", "ara_enumerate",
     "axa_enumerate", "bernoulli_less", "brute_force_solutions",
     "generate_knapsack", "iaccess", "master_phase1", "prefill_target",
     "raccess", "run_parallel", "slave_session", "swor_enumerate",

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 from .fptas import bernoulli_less
 from .problem import SelfReducibleProblem
-from .record import EmissionRecord, VirtualClock
+from .record import EmissionRecord
 from .trie import IntervalHit, SelfReductionTrie, accuracy, enumerate_trie
 
 ZERO = Fraction(0)
@@ -116,9 +116,7 @@ def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
                   dictionary: PrefixDictionary | None = None,
                   span: tuple[Fraction, Fraction] = (ZERO, ONE),
                   phi_star: Fraction | None = None,
-                  eps_mode: str = "proof",
-                  attempt_cap: int | None = None,
-                  clock: VirtualClock | None = None) -> Iterator[EmissionRecord]:
+                  eps_mode: str = "proof") -> Iterator[EmissionRecord]:
     """Emit all solutions whose intervals lie in `span` exactly once.
 
     Completeness is unconditional; with probability >= 1 - delta every
@@ -135,5 +133,4 @@ def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
         phi_star = Fraction(4, 9) / estimate
 
     trie = fpras_trie(problem, fpras, x, delta, dictionary, eps_mode, span)
-    yield from enumerate_trie(trie, rng, phi_star, guarded_accept,
-                              attempt_cap, clock)
+    yield from enumerate_trie(trie, rng, phi_star, guarded_accept)

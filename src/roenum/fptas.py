@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .problem import SelfReducibleProblem
-from .record import EmissionRecord, VirtualClock
+from .record import EmissionRecord
 from .trie import (IntervalHit, NonTerminating, SelfReductionTrie, accuracy,
                    enumerate_trie)
 
@@ -80,9 +80,8 @@ def iaccess(problem: SelfReducibleProblem, fptas: Callable, x, r: Fraction,
 
 
 def aia_enumerate(problem: SelfReducibleProblem, fptas: Callable, x,
-                  rng: random.Random, eps_mode: str = "proof",
-                  attempt_cap: int | None = None,
-                  clock: VirtualClock | None = None) -> Iterator[EmissionRecord]:
+                  rng: random.Random,
+                  eps_mode: str = "proof") -> Iterator[EmissionRecord]:
     """Emit every solution of x exactly once, uniformly over the solutions
     not yet emitted; expected attempts per emission < 4.
 
@@ -94,5 +93,4 @@ def aia_enumerate(problem: SelfReducibleProblem, fptas: Callable, x,
     if root_estimate == 0:
         return  # Sol(x) is empty: a 1/3-accurate counter returns 0 only then
     yield from enumerate_trie(fptas_trie(problem, fptas, x, eps_mode), rng,
-                              Fraction(4, 9) / root_estimate, bernoulli_less,
-                              attempt_cap, clock)
+                              Fraction(4, 9) / root_estimate, bernoulli_less)

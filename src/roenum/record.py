@@ -14,13 +14,3 @@ class EmissionRecord:
     width: Fraction
     attempts: int = 1
     tick: int | Fraction = 0
-
-
-class VirtualClock:
-    """Injected tick counter; the enumeration kernels never read wall time."""
-
-    def __init__(self, start: int = 0):
-        self.now: int | Fraction = start
-
-    def advance(self, ticks=1):
-        self.now += ticks

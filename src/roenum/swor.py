@@ -13,25 +13,24 @@ from typing import Callable, Iterator
 
 from .exact import raccess
 from .problem import SelfReducibleProblem
-from .record import EmissionRecord, VirtualClock
+from .record import EmissionRecord
 
 
 def swor_enumerate(problem: SelfReducibleProblem, exact: Callable, x,
-                   rng: random.Random,
-                   clock: VirtualClock | None = None) -> Iterator[EmissionRecord]:
+                   rng: random.Random) -> Iterator[EmissionRecord]:
     total = exact(x)
     d = problem.zeta(x)
-    clock = clock or VirtualClock()
+    tick = 0  # attempts made in the session so far
     seen: set[str] = set()
     nominal = Fraction(1, total) if total else Fraction(0)
     while len(seen) < total:
         attempts = 0
         while True:
             attempts += 1
-            clock.advance(1)
+            tick += 1
             i = rng.randint(1, total)
             word = raccess(problem, exact, x, i, d)
             if word not in seen:
                 break
         seen.add(word)
-        yield EmissionRecord(word, None, None, nominal, attempts, clock.now)
+        yield EmissionRecord(word, None, None, nominal, attempts, tick)

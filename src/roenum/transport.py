@@ -1,9 +1,10 @@
 """Stream-socket transport for the master/slave pipeline (demonstration).
 
 Wire format: big-endian u32 length prefix, then a JSON payload. Fractions
-travel as "num/den" strings. The virtual-clock harness in `parallel` is
-what the timing theorems are tested on; this transport exists to show the
-pipeline running over real sockets.
+travel as "num/den" strings. The master reads a slave's socket only when
+`parallel.dequeue` takes from it, so TCP flow control holds back a slave
+that runs ahead. The timing theorems are tested on the virtual clock in
+`parallel`; this transport shows the pipeline over real sockets.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ def parse_assignment(msg: dict) -> RangeAssignment:
         Fraction(msg["delta"]))
 
 
-def emission_message(index: int, rec: EmissionRecord) -> dict:
+def emission_message(rec: EmissionRecord) -> dict:
     return {
         "kind": "emission",
-        "index": index,
         "solution": rec.solution,
         "low": frac_str(rec.low),
         "high": frac_str(rec.high),
@@ -89,13 +89,14 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
                      oracle_factory) -> list[str]:
     """Run the two-phase pipeline over localhost TCP, one thread per slave.
 
-    The master collects every slave's emissions into its queue, then
-    drives the same `dequeue` as run_parallel over the full queues.
+    The master drives the same `dequeue` as run_parallel, reading a
+    slave's next frame only when `dequeue` takes from that slave.
     Returns the master's output order, which is the order of
     run_parallel's outputs for the same seed and oracle factory.
     Raises RuntimeError naming every slave that did not send `done`: one
     that could not connect, or whose session raised (its socket then
-    closes, so the master sees end of stream instead of waiting).
+    closes, so the master sees end of stream instead of waiting). The
+    other streams are read to their end first, so healthy slaves finish.
     """
     assignments, _ = master_phase1(problem, oracle_factory(0), x,
                                    Fraction(delta), m)
@@ -124,7 +125,7 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
                 gen, _ = slave_session(problem, oracle_factory(a.index), x, a,
                                        random.Random(seeds[a.index - 1]))
                 for rec in gen:
-                    send_frame(conn, emission_message(a.index, rec))
+                    send_frame(conn, emission_message(rec))
                 send_frame(conn, {"kind": "done", "index": a.index})
         except Exception as exc:  # the master reports it with the missing ones
             errors.append(exc)
@@ -134,21 +135,19 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
     for th in threads:
         th.start()
 
-    queues: list[list[EmissionRecord]] = [[] for _ in assignments]
     done: set[int] = set()
 
-    def reader(conn):
+    def records(conn):  # one slave's stream, read as dequeue takes from it
         try:
             while (msg := recv_frame(conn)) is not None:
                 if msg["kind"] == "done":
                     done.add(msg["index"])
                     return
-                queues[msg["index"] - 1].append(parse_emission(msg))
+                yield parse_emission(msg)
         except OSError:  # a dropped connection; reported below
             pass
 
     conns: list[socket.socket] = []
-    readers: list[threading.Thread] = []
     try:
         # every slave either connects or adds itself to `unconnected`
         while len(conns) + len(unconnected) < m:
@@ -159,10 +158,17 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
             conn.settimeout(None)
             conns.append(conn)
             send_frame(conn, assignment_message(assignments[len(conns) - 1]))
-            readers.append(threading.Thread(target=reader, args=(conn,)))
-            readers[-1].start()
-        for th in readers:
-            th.join()
+        streams = [records(conn) for conn in conns]
+        streams += [iter(())] * (m - len(conns))  # never connected
+        early_end = None
+        try:
+            output = [r.solution for _, r in dequeue(
+                streams, [a.width for a in assignments], master_rng)]
+        except RuntimeError as exc:  # a stream ended before its width did
+            early_end = exc
+        for stream in streams:  # read on to each `done`, discarding records
+            for _ in stream:
+                pass
     finally:
         for conn in conns:
             conn.close()
@@ -177,6 +183,6 @@ def run_parallel_tcp(problem, x, delta, m: int, seed: int,
             f"slave(s) {missing} of {m} did not send done; slave errors: "
             f"{failures!r}") from (failures[0] if failures else None)
 
-    widths = [a.width for a in assignments]
-    return [r.solution for _, r in
-            dequeue([iter(q) for q in queues], widths, master_rng)]
+    if early_end is not None:
+        raise early_end
+    return output

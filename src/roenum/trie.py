@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .record import EmissionRecord, VirtualClock
+from .record import EmissionRecord
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -145,9 +145,7 @@ class SelfReductionTrie:
 
 def enumerate_trie(trie: SelfReductionTrie, rng: random.Random,
                    phi_star: Fraction,
-                   accept: Callable[[random.Random, Fraction], bool],
-                   attempt_cap: int | None = None,
-                   clock: VirtualClock | None = None
+                   accept: Callable[[random.Random, Fraction], bool]
                    ) -> Iterator[EmissionRecord]:
     """Emit every unbanned solution of the trie once, banning each.
 
@@ -157,19 +155,19 @@ def enumerate_trie(trie: SelfReductionTrie, rng: random.Random,
     """
     d = max(trie.depth, 1)
     bits = d + 128
-    cap = attempt_cap if attempt_cap is not None else 64 * d
-    clock = clock or VirtualClock()
+    cap = 64 * d
+    tick = 0  # attempts made in the session so far
     while trie.available > 0:
         attempts = 0
         while True:
             attempts += 1
             if attempts > cap:
                 raise NonTerminating(f"{cap} attempts without an emission")
-            clock.advance(1)
+            tick += 1
             u = Fraction(rng.getrandbits(bits), 1 << bits)
             hit = trie.descend(u * trie.available)
             if accept(rng, phi_star / hit.width):
                 break
         trie.ban(hit)
         yield EmissionRecord(hit.solution, hit.low, hit.high, hit.width,
-                             attempts, clock.now)
+                             attempts, tick)

@@ -3,6 +3,7 @@ import socket
 import threading
 import time
 from fractions import Fraction
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -282,6 +283,55 @@ def test_tcp_transport_names_a_failed_slave(monkeypatch):
     with pytest.raises(RuntimeError, match=r"slave\(s\) \[2\] of 3") as info:
         _tcp_within(60, KNAP, x, F(1, 10), 3, seed=5, oracle_factory=factory)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_tcp_transport_names_a_slave_that_fails_mid_stream(monkeypatch):
+    # the master runs out of slave 1's records while its width remains
+    real_session = transport.slave_session
+
+    def failing_session(problem, oracles, x, a, rng):
+        gen, dictionary = real_session(problem, oracles, x, a, rng)
+        if a.index != 1:
+            return gen, dictionary
+
+        def three_then_fail():
+            yield from islice(gen, 3)
+            raise ValueError("slave 1 failed")
+        return three_then_fail(), dictionary
+
+    monkeypatch.setattr(transport, "slave_session", failing_session)
+    x = generate_knapsack(9, seed=8)
+    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=8)
+    result = run_parallel(KNAP, x, F(1, 10), 3, seed=8,
+                          oracle_factory=factory)
+    assert result.output_slaves.count(1) > 3
+    with pytest.raises(RuntimeError, match=r"slave\(s\) \[1\] of 3") as info:
+        _tcp_within(60, KNAP, x, F(1, 10), 3, seed=8, oracle_factory=factory)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_tcp_master_reads_a_record_only_when_it_takes_it(monkeypatch):
+    # records parsed minus records taken never exceeds one
+    held = []
+    real_parse, real_dequeue = transport.parse_emission, transport.dequeue
+
+    def counted_parse(msg):
+        held.append(1)
+        return real_parse(msg)
+
+    def counted_dequeue(*args):
+        for item in real_dequeue(*args):
+            held.append(-1)
+            yield item
+
+    monkeypatch.setattr(transport, "parse_emission", counted_parse)
+    monkeypatch.setattr(transport, "dequeue", counted_dequeue)
+    x = generate_knapsack(9, seed=8)
+    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=8)
+    output = _tcp_within(60, KNAP, x, F(1, 10), 3, seed=8,
+                         oracle_factory=factory)
+    assert sorted(output) == sorted(brute_force_solutions(KNAP, x))
+    assert max(accumulate(held)) == 1
 
 
 def test_tcp_transport_names_a_slave_that_never_connects(monkeypatch):
