@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen, enumerate, parallel, uniformity, profile, verify.
-Exit codes: 0 pass, 1 assertion/statistical failure, 2 usage error or an
-unreadable or malformed instance file.
+Exit codes: 0 pass, 1 assertion/statistical failure, 2 usage error, an
+unreadable or malformed instance file, or an instance too large for a
+counting or brute-force budget (`BudgetExceeded`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import exact, fptas, fpras, parallel, stats, swor
-from .problem import brute_force_solutions, verify_self_reducibility
+from .problem import (BudgetExceeded, brute_force_solutions,
+                      verify_self_reducibility)
 from .problems import (SimulatedOracleConfig, SimulatedOracles,
                        default_oracle_factory, format_instance,
                        generate_knapsack, parse_instance, Knapsack)
@@ -211,7 +213,11 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as err:
             print(f"roenum: {args.instance}: {err}", file=sys.stderr)
             return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceeded as err:
+        print(f"roenum: instance too large: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

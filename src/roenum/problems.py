@@ -63,7 +63,8 @@ class Knapsack(SelfReducibleProblem):
 
     def __init__(self, budget: int = 200_000_000):
         self.budget = budget  # cap on n * C for the counting DP
-        self._count_cache: dict[tuple, int] = {}
+        # sizes suffix -> {capacity: count}: one key per residual suffix
+        self._count_cache: dict[tuple, dict[int, int]] = {}
 
     def zeta(self, x: KnapsackInstance) -> int:
         return len(x.sizes)
@@ -88,7 +89,7 @@ class Knapsack(SelfReducibleProblem):
         return total <= x.capacity
 
     def base_check(self, x: KnapsackInstance) -> bool:
-        return x.capacity is not None
+        return x.capacity is not None and x.capacity >= 0
 
     def size(self, x: KnapsackInstance) -> int:
         cap = -1 if x.capacity is None else x.capacity
@@ -98,28 +99,39 @@ class Knapsack(SelfReducibleProblem):
         return ("ks", x.capacity, x.sizes)
 
     def exact_count(self, x: KnapsackInstance) -> int:
-        """Number of packings, by DP over residual capacity (O(n*C))."""
-        if x.capacity is None:
+        """Number of packings: subsets of the (non-negative) sizes whose
+        total is at most the capacity.
+
+        Bit-parallel DP: slot c, b = n+2 bits wide, of one integer holds
+        the number of subsets of the items added so far with total exactly
+        c, for c = 0..C. Adding an item of size s is one shift-add,
+        poly + (poly << b*s), cut back to C+1 slots. No slot overflows
+        into the next, since it counts at most 2**n < 2**b subsets. As
+        2**b = 1 modulo 2**b - 1, the slot sum is poly % (2**b - 1), which
+        is exact because that sum is at most 2**n < 2**b - 1. Cost: n
+        shift-adds on (C+1)*b-bit integers.
+        """
+        cap = x.capacity
+        if cap is None or cap < 0:
             return 0
-        key = (x.capacity, x.sizes)
-        hit = self._count_cache.get(key)
+        by_cap = self._count_cache.setdefault(x.sizes, {})
+        hit = by_cap.get(cap)
         if hit is not None:
             return hit
-        n, cap = len(x.sizes), x.capacity
+        n = len(x.sizes)
         if cap >= sum(x.sizes):  # every subset fits: no DP over capacity
-            self._count_cache[key] = 1 << n
+            by_cap[cap] = 1 << n
             return 1 << n
         if n * max(cap, 1) > self.budget:
             raise BudgetExceeded(f"n*C = {n * cap} over DP budget")
-        # table[c] = packings of a prefix of items with total size exactly c
-        table = [0] * (cap + 1)
-        table[0] = 1
+        b = n + 2
+        mask = (1 << b * (cap + 1)) - 1
+        poly = 1  # the empty packing: one subset of total 0
         for s in x.sizes:
             if s <= cap:
-                for c in range(cap, s - 1, -1):
-                    table[c] += table[c - s]
-        result = sum(table)
-        self._count_cache[key] = result
+                poly = (poly + (poly << b * s)) & mask
+        result = poly % ((1 << b) - 1)
+        by_cap[cap] = result
         return result
 
 
@@ -275,6 +287,8 @@ def parse_instance(text: str):
         sizes = tuple(int(t) for t in lines[1].split())
         if len(sizes) != n:
             raise ValueError(f"expected {n} sizes, got {len(sizes)}")
+        if cap < 0 or any(s < 0 for s in sizes):
+            raise ValueError("capacity and sizes must be non-negative")
         return Knapsack(), KnapsackInstance(cap, sizes)
     raise ValueError(f"unknown problem {head[0]!r}")
 

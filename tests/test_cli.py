@@ -115,13 +115,31 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
 
-@pytest.mark.parametrize("text", ["knapsack 3 5\n", "allbits\n"])
+@pytest.mark.parametrize("text", ["knapsack 3 5\n", "allbits\n",
+                                  "knapsack 2 1\n-1 3\n",
+                                  "knapsack 2 -1\n1 3\n"])
 def test_malformed_instance_exit_code(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     assert main(["enumerate", "--instance", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_over_budget_exit_code(tmp_path, capsys):
+    path = tmp_path / "g30.txt"
+    assert main(["gen", "--n", "30", "--out", str(path)]) == 0
+    assert main(["verify", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "budget" in err
+
+
+def test_exact_count_over_budget_exit_code(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("knapsack 2 300000000\n1 400000000\n")
+    assert main(["enumerate", "--instance", str(path), "--algo", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "budget" in err
 
 
 def test_missing_instance_exit_code(tmp_path, capsys):

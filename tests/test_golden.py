@@ -1,4 +1,4 @@
-"""Golden emission digests of the FPTAS and FPRAS tiers.
+"""Golden emission digests of the exact, FPTAS and FPRAS tiers.
 
 The digests were captured from the interval-tree implementation that the
 self-reduction trie replaced; the trie must reproduce every emission
@@ -6,28 +6,48 @@ self-reduction trie replaced; the trie must reproduce every emission
 every parallel output byte for byte. The greedy-mode parallel digests
 were captured from the master loop that still scanned every slave's queue
 after each output and summed the remaining widths in `Fraction`; the lean
-dequeue must reproduce them too. Regenerate a digest only for a change
-that is meant to alter the emitted sequences:
+dequeue must reproduce them too. The ARA digests were captured from the
+loop-over-capacities knapsack counter that the bit-parallel one replaced.
+Regenerate a digest only for a change that is meant to alter the emitted
+sequences:
 
     PYTHONPATH=src python -c "import tests.test_golden as g; g.print_digests()"
 """
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from roenum.exact import ara_enumerate
 from roenum.fpras import PrefixDictionary, axa_enumerate, xaccess
 from roenum.fptas import aia_enumerate, iaccess
 from roenum.parallel import master_phase1, run_parallel, slave_session
-from roenum.problems import (AllBitstrings, Knapsack, SimulatedOracleConfig,
-                             SimulatedOracles, default_oracle_factory,
-                             generate_knapsack)
+from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
+                             SimulatedOracleConfig, SimulatedOracles,
+                             default_oracle_factory, generate_knapsack)
 
 F = Fraction
 PROBLEMS = {"allbits9": (AllBitstrings(), 9),
             "knap12": (Knapsack(), generate_knapsack(12, seed=4))}
+
+
+def knapsack64(seed):
+    """An n=64 instance built like the benchmark's `ara-knapsack` inputs:
+    one size from each pair {2i+1, 2i+2}, shuffled, capacity a quarter of
+    the total."""
+    rng = random.Random(seed)
+    sizes = [2 * i + rng.randint(1, 2) for i in range(64)]
+    rng.shuffle(sizes)
+    return KnapsackInstance(sum(sizes) // 4, tuple(sizes))
+
+
+# ARA instances and how many emissions each golden run takes (None: all)
+ARA = {"knap12": (PROBLEMS["knap12"][1], None),
+       "knap64a": (knapsack64(1), 20),
+       "knap64b": (knapsack64(2), 20)}
 
 
 def _digest(rows) -> str:
@@ -77,6 +97,14 @@ def access_rows(name, noise, seed):
     return rows
 
 
+def ara_rows(name, noise, seed):
+    x, limit = ARA[name]
+    problem = Knapsack()
+    words = ara_enumerate(problem, SimulatedOracles(problem).exact, x,
+                          random.Random(seed))
+    return list(itertools.islice(words, limit))
+
+
 def span_rows(name, noise, seed):
     """Four slave sessions over the master's partition: each slave's
     emissions, dictionary entries and computed keys."""
@@ -103,8 +131,8 @@ def parallel_rows(name, noise, seed, mode="paced"):
             str(result.prefill_tick))
 
 
-KINDS = {"aia": aia_rows, "axa": axa_rows, "access": access_rows,
-         "span": span_rows, "parallel": parallel_rows,
+KINDS = {"ara": ara_rows, "aia": aia_rows, "axa": axa_rows,
+         "access": access_rows, "span": span_rows, "parallel": parallel_rows,
          "greedy": lambda *case: parallel_rows(*case, mode="greedy")}
 CASES = [(kind, name, noise, seed)
          for kind in ("aia", "axa", "access", "span")
@@ -112,6 +140,7 @@ CASES = [(kind, name, noise, seed)
          for noise, seed in (("none", 1), ("hash", 2), ("extreme", 3))]
 CASES += [(kind, name, "hash", 5)
           for kind in ("parallel", "greedy") for name in PROBLEMS]
+CASES += [("ara", name, "none", seed) for name in ARA for seed in (1, 2)]
 
 GOLDEN = {
     ("aia", "allbits9", "none", 1): "8fd6af693351000c",
@@ -142,6 +171,12 @@ GOLDEN = {
     ("parallel", "knap12", "hash", 5): "b2d7f021501e837d",
     ("greedy", "allbits9", "hash", 5): "75ad7ed7d36d8b67",
     ("greedy", "knap12", "hash", 5): "94211dc94459d5ec",
+    ("ara", "knap12", "none", 1): "c367aa1279f60a14",
+    ("ara", "knap12", "none", 2): "24589267f81e1c77",
+    ("ara", "knap64a", "none", 1): "2834b62c3d77b6a3",
+    ("ara", "knap64a", "none", 2): "ba4f89af9d18fa7b",
+    ("ara", "knap64b", "none", 1): "1a4cf9f1cf5212d4",
+    ("ara", "knap64b", "none", 2): "99c325515a4a908c",
 }
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from roenum import problems
+from roenum.exact import ara_enumerate
 from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
@@ -39,6 +42,60 @@ def test_knapsack_count_around_the_size_sum(slack):
     inst = KnapsackInstance(sum(sizes) + slack, sizes)
     assert Knapsack().exact_count(inst) == \
         len(brute_force_solutions(KS, inst))
+
+
+def loop_count(capacity, sizes):
+    """Reference: the loop-over-capacities DP that the bit-parallel
+    counter replaced (packings with total exactly c, for c = 0..C)."""
+    if capacity is None or capacity < 0:
+        return 0
+    table = [0] * (capacity + 1)
+    table[0] = 1
+    for s in sizes:
+        if s <= capacity:
+            for c in range(capacity, s - 1, -1):
+                table[c] += table[c - s]
+    return sum(table)
+
+
+@given(sizes=st.lists(st.integers(0, 12), max_size=10), data=st.data())
+def test_bit_parallel_count_matches_loop_dp_and_brute_force(sizes, data):
+    total = sum(sizes)
+    capacity = data.draw(st.one_of(
+        st.integers(-3, 0),                  # empty and negative capacities
+        st.integers(0, total),
+        st.integers(total - 2, total + 3)))  # around the every-subset-fits cut
+    inst = KnapsackInstance(capacity, tuple(sizes))
+    count = Knapsack().exact_count(inst)
+    assert count == loop_count(capacity, sizes)
+    assert count == len(brute_force_solutions(KS, inst))
+
+
+@pytest.mark.parametrize("n", [70, 90])
+def test_bit_parallel_count_beyond_64_bits(n):
+    inst = generate_knapsack(n, seed=5, capacity_frac=0.4)
+    count = Knapsack().exact_count(inst)
+    assert count > 1 << 64
+    assert count == loop_count(inst.capacity, inst.sizes)
+
+
+@pytest.mark.parametrize("inst", [KnapsackInstance(-1, (1, 2)),
+                                  KnapsackInstance(-4, (0, 0, 3)),
+                                  KnapsackInstance(-1, ())])
+def test_negative_capacity_counts_no_packing(inst):
+    assert Knapsack().exact_count(inst) == 0
+    assert brute_force_solutions(KS, inst) == set()
+
+
+def test_count_cache_holds_one_key_per_suffix():
+    problem = Knapsack()
+    x = generate_knapsack(64, seed=3)
+    words = ara_enumerate(problem, SimulatedOracles(problem).exact, x,
+                          random.Random(3))
+    assert len(list(itertools.islice(words, 20))) == 20
+    suffixes = {x.sizes[k:] for k in range(len(x.sizes) + 1)}
+    assert len(problem._count_cache) <= len(x.sizes) + 1
+    assert set(problem._count_cache) <= suffixes
 
 
 def test_all_bitstrings_closed_form():
