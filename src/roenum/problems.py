@@ -62,9 +62,10 @@ class Knapsack(SelfReducibleProblem):
     name = "knapsack"
 
     def __init__(self, budget: int = 200_000_000):
-        self.budget = budget  # cap on n * C for the counting DP
-        # sizes suffix -> {capacity: count}: one key per residual suffix
-        self._count_cache: dict[tuple, dict[int, int]] = {}
+        self.budget = budget  # cap on the bits the suffix chains hold
+        # sizes suffix -> (capacity, slot width b, polynomial P)
+        self._chain: dict[tuple, tuple[int, int, int]] = {}
+        self._chain_bits = 0  # bits of the chains built since the last clear
 
     def zeta(self, x: KnapsackInstance) -> int:
         return len(x.sizes)
@@ -92,7 +93,8 @@ class Knapsack(SelfReducibleProblem):
         return x.capacity is not None and x.capacity >= 0
 
     def size(self, x: KnapsackInstance) -> int:
-        cap = -1 if x.capacity is None else x.capacity
+        # a negative capacity is infeasible, the same as the None sentinel
+        cap = -1 if x.capacity is None else max(x.capacity, -1)
         return len(x.sizes) + cap + 2
 
     def instance_key(self, x: KnapsackInstance) -> tuple:
@@ -102,37 +104,68 @@ class Knapsack(SelfReducibleProblem):
         """Number of packings: subsets of the (non-negative) sizes whose
         total is at most the capacity.
 
-        Bit-parallel DP: slot c, b = n+2 bits wide, of one integer holds
-        the number of subsets of the items added so far with total exactly
-        c, for c = 0..C. Adding an item of size s is one shift-add,
-        poly + (poly << b*s), cut back to C+1 slots. No slot overflows
-        into the next, since it counts at most 2**n < 2**b subsets. As
-        2**b = 1 modulo 2**b - 1, the slot sum is poly % (2**b - 1), which
-        is exact because that sum is at most 2**n < 2**b - 1. Cost: n
-        shift-adds on (C+1)*b-bit integers.
+        Slot c, b bits wide, of a polynomial P holds the number of subsets
+        of a sizes suffix with total exactly c. The first count on sizes
+        S = (s_0, ..., s_{n-1}) with capacity C builds the chain of every
+        suffix's polynomial in one backward pass of n shift-adds, with
+        b = n+2 and P_n = 1 (the empty packing):
+        P_k = (P_{k+1} + (P_{k+1} << b*s_k)) cut back to C+1 slots, and
+        stores P_k under the suffix S[k:]. No slot overflows into the next,
+        since it counts at most 2**n < 2**b subsets.
+
+        A residual (a suffix S[k:], capacity c <= C) is then a read: cut
+        P_k to its low c+1 slots and sum them as that integer modulo
+        2**b - 1 (2**b = 1 there), which is exact because the sum is at
+        most 2**n < 2**b - 1. A suffix stored at a smaller capacity is
+        rebuilt, with its own suffixes, at the larger one.
+
+        Memory: one chain holds (n+1)*(C+1)*(n+2) bits, about 0.55 MB at
+        n = 64, C = 1030. A build that would hold more than `budget` bits
+        (25 MB at the default 2*10**8) raises BudgetExceeded before it
+        allocates; when the chains held since the last clear would pass
+        the budget, they are dropped first. An instance where every
+        subset fits counts 2**n with no chain.
         """
         cap = x.capacity
         if cap is None or cap < 0:
             return 0
-        by_cap = self._count_cache.setdefault(x.sizes, {})
-        hit = by_cap.get(cap)
-        if hit is not None:
-            return hit
-        n = len(x.sizes)
-        if cap >= sum(x.sizes):  # every subset fits: no DP over capacity
-            by_cap[cap] = 1 << n
-            return 1 << n
-        if n * max(cap, 1) > self.budget:
-            raise BudgetExceeded(f"n*C = {n * cap} over DP budget")
+        entry = self._chain.get(x.sizes)
+        if entry is None or entry[0] < cap:
+            if cap >= sum(x.sizes) and min(x.sizes, default=0) >= 0:
+                return 1 << len(x.sizes)  # every subset fits: no chain
+            entry = self._build_chain(x.sizes, cap)
+        _, b, poly = entry
+        return (poly & ((1 << b * (cap + 1)) - 1)) % ((1 << b) - 1)
+
+    def _build_chain(self, sizes: tuple, cap: int) -> tuple[int, int, int]:
+        """Store every suffix polynomial of `sizes` at capacity `cap`
+        (see exact_count) and return the entry of `sizes` itself."""
+        low = min(sizes, default=0)
+        if low < 0:
+            raise ValueError(f"knapsack size {low} is negative")
+        n = len(sizes)
         b = n + 2
+        bits = (n + 1) * (cap + 1) * b
+        if bits > self.budget:
+            raise BudgetExceeded(f"suffix chain of {bits} bits (n={n}, "
+                                 f"C={cap}) over the {self.budget}-bit budget")
+        if self._chain_bits + bits > self.budget:
+            self._chain.clear()
+            self._chain_bits = 0
+        self._chain_bits += bits
+        chain = self._chain
         mask = (1 << b * (cap + 1)) - 1
-        poly = 1  # the empty packing: one subset of total 0
-        for s in x.sizes:
-            if s <= cap:
-                poly = (poly + (poly << b * s)) & mask
-        result = poly % ((1 << b) - 1)
-        by_cap[cap] = result
-        return result
+        poly = 1  # P_n: the empty packing
+        entry = (cap, b, poly)
+        for k in range(n, -1, -1):
+            if k < n and sizes[k] <= cap:
+                poly = (poly + (poly << b * sizes[k])) & mask
+                entry = (cap, b, poly)
+            suffix = sizes[k:]
+            old = chain.get(suffix)
+            if old is None or old[0] < cap:
+                chain[suffix] = entry
+        return entry
 
 
 def generate_knapsack(n: int, seed: int, capacity_frac: float = 0.25) -> KnapsackInstance:

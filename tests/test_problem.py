@@ -44,6 +44,13 @@ def test_verify_knapsack():
     assert verify_self_reducibility(KS, KnapsackInstance(3, (1, 2, 3)))
 
 
+@pytest.mark.parametrize("inst", [KnapsackInstance(-4, (0, 0, 3)),
+                                  KnapsackInstance(-1, (1, 2))])
+def test_verify_knapsack_with_negative_capacity(inst):
+    # a negative capacity sizes like the infeasible sentinel reduce makes
+    assert verify_self_reducibility(KS, inst)
+
+
 def test_verify_rejects_broken_reduction():
     assert not verify_self_reducibility(BrokenReduction(), 3)
 

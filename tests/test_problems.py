@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from roenum import problems
 from roenum.exact import ara_enumerate
-from roenum.problem import brute_force_solutions
+from roenum.problem import BudgetExceeded, brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
                              format_instance, generate_knapsack,
@@ -94,8 +94,60 @@ def test_count_cache_holds_one_key_per_suffix():
                           random.Random(3))
     assert len(list(itertools.islice(words, 20))) == 20
     suffixes = {x.sizes[k:] for k in range(len(x.sizes) + 1)}
-    assert len(problem._count_cache) <= len(x.sizes) + 1
-    assert set(problem._count_cache) <= suffixes
+    assert len(problem._chain) <= len(x.sizes) + 1
+    assert set(problem._chain) <= suffixes
+
+
+@given(data=st.data())
+def test_one_counter_answers_residuals_of_two_roots_in_any_order(data):
+    # one Knapsack serves every query, so the chain is reused and rebuilt:
+    # the two roots share a suffix, every root suffix is queried at up to
+    # three capacities, and the queries come in a random order (a residual
+    # before its root, a larger capacity after a smaller one)
+    sizes = st.lists(st.integers(0, 9), max_size=4)
+    shared = data.draw(sizes)
+    roots = [tuple(data.draw(sizes) + shared) for _ in range(2)]
+    queries = []
+    for root in roots:
+        cap = data.draw(st.integers(0, sum(root) + 1))
+        queries.append((cap, root))
+        for k in range(1, len(root) + 1):
+            caps = st.integers(-1, sum(root) + 2)
+            queries += [(data.draw(caps), root[k:]) for _ in range(3)]
+    problem = Knapsack()
+    for cap, suffix in data.draw(st.permutations(queries)):
+        inst = KnapsackInstance(cap, suffix)
+        assert problem.exact_count(inst) == loop_count(cap, suffix)
+    suffixes = {root[k:] for root in roots for k in range(len(root) + 1)}
+    assert set(problem._chain) <= suffixes
+
+
+def test_chain_budget_bounds_the_bits_a_build_holds():
+    # n = 2, C = 10: (n+1)(C+1)(n+2) = 3*11*4 = 132 bits
+    inst = KnapsackInstance(10, (5, 7))
+    assert Knapsack(budget=132).exact_count(inst) == 3
+    problem = Knapsack(budget=131)
+    with pytest.raises(BudgetExceeded, match="budget"):
+        problem.exact_count(inst)
+    assert problem._chain == {}
+
+
+def test_chains_past_the_budget_are_dropped():
+    first = KnapsackInstance(10, (5, 7))      # 132 bits
+    second = KnapsackInstance(10, (6, 8))     # 132 bits
+    problem = Knapsack(budget=200)
+    assert problem.exact_count(first) == 3
+    assert problem.exact_count(second) == 3
+    assert set(problem._chain) == {(6, 8), (8,), ()}
+    assert problem.exact_count(first) == 3
+
+
+@pytest.mark.parametrize("inst", [KnapsackInstance(3, (2, -1)),
+                                  KnapsackInstance(10, (2, -1)),
+                                  KnapsackInstance(0, (-1,))])
+def test_negative_size_is_named_in_a_value_error(inst):
+    with pytest.raises(ValueError, match="size -1 is negative"):
+        Knapsack().exact_count(inst)
 
 
 def test_all_bitstrings_closed_form():
