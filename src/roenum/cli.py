@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, enumerate, parallel, uniformity, profile, verify.
-Exit codes: 0 pass, 1 assertion/statistical failure, 2 usage error, an
-unreadable or malformed instance file, or an instance too large for a
-counting or brute-force budget (`BudgetExceeded`).
+Exit codes: 0 pass, 1 assertion/statistical failure, 2 usage error (an
+option value out of its range too), an unreadable or malformed instance
+file, an instance over a counting or brute-force budget (`BudgetExceeded`),
+or too many slaves for the instance (`DegeneratePartition`).
 """
 
 from __future__ import annotations
@@ -48,12 +49,10 @@ def _run_one(problem, x, args, seed: int, nonce: int = 0) -> stats.RunReport:
                      for i, w in enumerate(
                          exact.ara_enumerate(problem, sim.exact, x, rng), 1)]
     elif algo == "fptas":
-        emissions = list(fptas.aia_enumerate(
-            problem, sim.fptas, x, rng, eps_mode=args.epsilon_mode))
+        emissions = list(fptas.aia_enumerate(problem, sim.fptas, x, rng))
     elif algo == "fpras":
         emissions = list(fpras.axa_enumerate(
-            problem, sim.fpras, x, Fraction(args.delta), rng,
-            eps_mode=args.epsilon_mode))
+            problem, sim.fpras, x, args.delta, rng))
     else:  # "swor"
         emissions = list(swor.swor_enumerate(problem, sim.exact, x, rng))
     return stats.RunReport(algo, getattr(problem, "name", "?"), seed, emissions)
@@ -89,13 +88,13 @@ def cmd_parallel(args) -> int:
     if args.transport == "tcp":
         from . import transport
         order = transport.run_parallel_tcp(
-            problem, x, Fraction(args.delta), args.slaves, args.seed, factory)
+            problem, x, args.delta, args.slaves, args.seed, factory)
         _write(args, "\n".join(order) + "\n")
         return 0
     result = parallel.run_parallel(
-        problem, x, Fraction(args.delta), args.slaves, args.seed,
+        problem, x, args.delta, args.slaves, args.seed,
         oracle_factory=factory, mode=args.mode,
-        alpha=Fraction(args.alpha), delta_star=Fraction(args.delta_star),
+        alpha=args.alpha, delta_star=args.delta_star,
         s_ticks=args.s_ticks, t_ticks=args.t_ticks)
     print(f"Q={result.prefill_q} prefill_tick={result.prefill_tick} "
           f"makespan={result.makespan} stalls={result.stalls}",
@@ -134,8 +133,38 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, as every CLI error is."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _ranged(cast, ok, what: str):
+    """argparse type: the text read by `cast`, which must satisfy `ok`."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+
+    return parse
+
+
+COUNT = _ranged(int, lambda v: v >= 1, "a positive integer")
+TICKS = _ranged(int, lambda v: v >= 0, "a non-negative integer")
+SHARE = _ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+POSITIVE = _ranged(Fraction, lambda v: v > 0, "positive")
+PROBABILITY = _ranged(Fraction, lambda v: 0 <= v <= 1, "in [0, 1]")
+FAILURE_BOUND = _ranged(Fraction, lambda v: 0 < v < 1, "in (0, 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="roenum")
+    parser = _Parser(prog="roenum")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -143,9 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("gen", help="generate a knapsack instance file")
-    p.add_argument("--problem", choices=["knapsack"], default="knapsack")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--capacity-frac", type=float, default=0.25)
+    p.add_argument("--n", type=COUNT, required=True)
+    p.add_argument("--capacity-frac", type=SHARE, default=0.25)
     common(p)
     p.set_defaults(func=cmd_gen)
 
@@ -154,9 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algo",
                        choices=["exact", "fptas", "fpras", "swor"],
                        default="fptas")
-        p.add_argument("--epsilon-mode", choices=["proof", "literal"],
-                       default="proof")
-        p.add_argument("--delta", default="1/10")
+        p.add_argument("--delta", type=PROBABILITY, default="1/10")
         p.add_argument("--noise", choices=["none", "hash", "extreme"],
                        default="none")
         common(p)
@@ -168,15 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parallel", help="run the master/slave pipeline")
     p.add_argument("--instance", required=True)
     p.add_argument("--algo", choices=["paraxa", "pswor"], default="paraxa")
-    p.add_argument("--slaves", type=int, default=2)
-    p.add_argument("--alpha", default="1/2")
-    p.add_argument("--delta", default="1/10")
-    p.add_argument("--delta-star", default="1/10")
+    p.add_argument("--slaves", type=COUNT, default=2)
+    p.add_argument("--alpha", type=POSITIVE, default="1/2")
+    p.add_argument("--delta", type=PROBABILITY, default="1/10")
+    p.add_argument("--delta-star", type=FAILURE_BOUND, default="1/10")
     p.add_argument("--mode", choices=["greedy", "paced"], default="greedy")
     p.add_argument("--transport", choices=["virtual", "tcp"],
                    default="virtual")
-    p.add_argument("--s-ticks", type=int, default=100)
-    p.add_argument("--t-ticks", type=int, default=100)
+    p.add_argument("--s-ticks", type=TICKS, default=100)
+    p.add_argument("--t-ticks", type=TICKS, default=100)
     p.add_argument("--noise", choices=["none", "hash", "extreme"],
                    default="none")
     common(p)
@@ -184,18 +210,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniformity", help="chi-square uniformity check")
     enum_args(p)
-    p.add_argument("--runs", type=int, default=1000)
+    p.add_argument("--runs", type=COUNT, default=1000)
     p.add_argument("--mode", choices=["first", "full"], default="first")
     p.set_defaults(func=cmd_uniformity)
 
     p = sub.add_parser("profile", help="windowed delay/attempt profile")
     enum_args(p)
-    p.add_argument("--window", type=int, default=100)
+    p.add_argument("--window", type=COUNT, default=100)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("verify", help="brute-force self-reducibility check")
     p.add_argument("--instance", required=True)
-    p.add_argument("--max-count", type=int, default=1 << 20)
+    p.add_argument("--max-count", type=COUNT, default=1 << 20)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -217,6 +243,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceeded as err:
         print(f"roenum: instance too large: {err}", file=sys.stderr)
+        return 2
+    except parallel.DegeneratePartition as err:
+        print(f"roenum: cannot partition: {err}", file=sys.stderr)
         return 2
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 from .fptas import bernoulli_less
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
-from .trie import IntervalHit, SelfReductionTrie, accuracy, enumerate_trie
+from .trie import IntervalHit, SelfReductionTrie, enumerate_trie
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,7 +59,6 @@ class PrefixDictionary:
 
 def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
                delta: Fraction, dictionary: PrefixDictionary,
-               eps_mode: str = "proof",
                span: tuple[Fraction, Fraction] = (ZERO, ONE)
                ) -> SelfReductionTrie:
     """Trie whose pivots come from memoized randomized estimates.
@@ -70,10 +69,10 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
     split at its midpoint, which keeps the tiling intact.
     """
     d0 = problem.zeta(x)
+    eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
     fail_budget = Fraction(delta, 1 << (d0 + 1))
 
-    def split(word: str, depth: int) -> Fraction:
-        eps = accuracy(d0, depth, eps_mode)
+    def split(word: str) -> Fraction:
         w0, w1 = word + "0", word + "1"
         n0 = dictionary.lookup(
             w0, lambda: fpras(problem.reduce(x, w0), eps, fail_budget))
@@ -88,12 +87,10 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
 
 
 def xaccess(problem: SelfReducibleProblem, fpras: Callable, x, r: Fraction,
-            delta: Fraction, dictionary: PrefixDictionary,
-            eps_mode: str = "proof") -> IntervalHit:
+            delta: Fraction, dictionary: PrefixDictionary) -> IntervalHit:
     """Interval access with memoized randomized estimates; repeated calls
     on one dictionary see byte-identical partitions."""
-    return fpras_trie(problem, fpras, x, delta, dictionary,
-                      eps_mode).descend(r)
+    return fpras_trie(problem, fpras, x, delta, dictionary).descend(r)
 
 
 def guarded_accept(rng: random.Random, ratio: Fraction) -> bool:
@@ -115,8 +112,8 @@ def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
                   delta: Fraction, rng: random.Random,
                   dictionary: PrefixDictionary | None = None,
                   span: tuple[Fraction, Fraction] = (ZERO, ONE),
-                  phi_star: Fraction | None = None,
-                  eps_mode: str = "proof") -> Iterator[EmissionRecord]:
+                  phi_star: Fraction | None = None
+                  ) -> Iterator[EmissionRecord]:
     """Emit all solutions whose intervals lie in `span` exactly once.
 
     Completeness is unconditional; with probability >= 1 - delta every
@@ -132,5 +129,5 @@ def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
             return
         phi_star = Fraction(4, 9) / estimate
 
-    trie = fpras_trie(problem, fpras, x, delta, dictionary, eps_mode, span)
+    trie = fpras_trie(problem, fpras, x, delta, dictionary, span)
     yield from enumerate_trie(trie, rng, phi_star, guarded_accept)

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
-from .trie import (IntervalHit, NonTerminating, SelfReductionTrie, accuracy,
+from .trie import (IntervalHit, NonTerminating, SelfReductionTrie,
                    enumerate_trie)
 
 
@@ -50,15 +50,16 @@ def bernoulli_less(rng: random.Random, threshold: Fraction) -> bool:
             return False
 
 
-def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x,
-               eps_mode: str = "proof") -> SelfReductionTrie:
+def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x
+               ) -> SelfReductionTrie:
     """Trie whose pivots split each node in the ratio of the two child
-    estimates. The counter is deterministic, so every pivot is a constant
-    of the instance."""
+    estimates, each taken at accuracy 1/(8*d0) with d0 the root depth. The
+    counter is deterministic, so every pivot is a constant of the
+    instance."""
     d0 = problem.zeta(x)
+    eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
 
-    def split(word: str, depth: int) -> Fraction:
-        eps = accuracy(d0, depth, eps_mode)
+    def split(word: str) -> Fraction:
         n0 = fptas(problem.reduce(x, word + "0"), eps)
         n1 = fptas(problem.reduce(x, word + "1"), eps)
         if n0 + n1 == 0:
@@ -68,20 +69,15 @@ def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x,
     return SelfReductionTrie(d0, split)
 
 
-def iaccess(problem: SelfReducibleProblem, fptas: Callable, x, r: Fraction,
-            eps_mode: str = "proof") -> IntervalHit:
-    """Compute f(r) and its interval by quasi-pivot recursion.
-
-    Child counts are estimated at accuracy 1/(8*d0) with d0 the root depth
-    ("proof" mode); "literal" mode shrinks the accuracy with the current
-    depth instead.
-    """
-    return fptas_trie(problem, fptas, x, eps_mode).descend(r)
+def iaccess(problem: SelfReducibleProblem, fptas: Callable, x,
+            r: Fraction) -> IntervalHit:
+    """Compute f(r) and its interval by quasi-pivot recursion, with child
+    counts estimated at accuracy 1/(8*d0)."""
+    return fptas_trie(problem, fptas, x).descend(r)
 
 
 def aia_enumerate(problem: SelfReducibleProblem, fptas: Callable, x,
-                  rng: random.Random,
-                  eps_mode: str = "proof") -> Iterator[EmissionRecord]:
+                  rng: random.Random) -> Iterator[EmissionRecord]:
     """Emit every solution of x exactly once, uniformly over the solutions
     not yet emitted; expected attempts per emission < 4.
 
@@ -92,5 +88,5 @@ def aia_enumerate(problem: SelfReducibleProblem, fptas: Callable, x,
     root_estimate = fptas(x, Fraction(1, 3))
     if root_estimate == 0:
         return  # Sol(x) is empty: a 1/3-accurate counter returns 0 only then
-    yield from enumerate_trie(fptas_trie(problem, fptas, x, eps_mode), rng,
+    yield from enumerate_trie(fptas_trie(problem, fptas, x), rng,
                               Fraction(4, 9) / root_estimate, bernoulli_less)

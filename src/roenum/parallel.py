@@ -62,8 +62,7 @@ def boundary_piece_keys(word: str) -> list[str]:
 
 
 def master_phase1(problem: SelfReducibleProblem, fpras: Callable, x,
-                  delta: Fraction, m: int,
-                  eps_mode: str = "proof"):
+                  delta: Fraction, m: int):
     """Compute the m range assignments.
 
     Returns (assignments, master_dictionary). Range i ends
@@ -74,7 +73,7 @@ def master_phase1(problem: SelfReducibleProblem, fpras: Callable, x,
     if m < 1:
         raise ValueError("need at least one slave")
     dictionary = PrefixDictionary()
-    trie = fpras_trie(problem, fpras, x, delta, dictionary, eps_mode)
+    trie = fpras_trie(problem, fpras, x, delta, dictionary)
     bounds = [ZERO]
     boundary_words: list[str] = []
     for i in range(1, m):
@@ -105,8 +104,7 @@ def master_phase1(problem: SelfReducibleProblem, fpras: Callable, x,
 
 
 def slave_session(problem: SelfReducibleProblem, fpras: Callable, x,
-                  assignment: RangeAssignment, rng: random.Random,
-                  eps_mode: str = "proof"):
+                  assignment: RangeAssignment, rng: random.Random):
     """AXA restricted to the assigned range: the complement of the range
     is pre-banned and the private dictionary starts from the piece.
 
@@ -115,7 +113,7 @@ def slave_session(problem: SelfReducibleProblem, fpras: Callable, x,
     gen = axa_enumerate(problem, fpras, x, assignment.delta, rng,
                         dictionary=dictionary,
                         span=(assignment.low, assignment.high),
-                        phi_star=assignment.phi_star, eps_mode=eps_mode)
+                        phi_star=assignment.phi_star)
     return gen, dictionary
 
 
@@ -193,8 +191,7 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
                  delta_star: Fraction = Fraction(1, 10),
                  s_ticks=1, t_ticks=1,
                  q_override: int | None = None,
-                 max_outputs: int | None = None,
-                 eps_mode: str = "proof") -> ParallelResult:
+                 max_outputs: int | None = None) -> ParallelResult:
     """Full two-phase run under the virtual clock."""
     delta = Fraction(delta)
     alpha = Fraction(alpha)
@@ -202,7 +199,7 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
     master_rng = random.Random(seed)
 
     assignments, master_dict = master_phase1(
-        problem, oracle_factory(0), x, delta, m, eps_mode)
+        problem, oracle_factory(0), x, delta, m)
     q_target = q_override if q_override is not None else \
         prefill_target(m, alpha, delta_star)
 
@@ -214,8 +211,7 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
     prefill_tick = ZERO
     for a in assignments:
         rng = random.Random(master_rng.getrandbits(64))
-        gen, d_i = slave_session(problem, oracle_factory(a.index), x, a,
-                                 rng, eps_mode)
+        gen, d_i = slave_session(problem, oracle_factory(a.index), x, a, rng)
         head = list(islice(gen, q_target))
         if head:
             prefill_tick = max(prefill_tick,

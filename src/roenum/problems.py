@@ -277,13 +277,12 @@ class SimulatedOracles:
 
 
 def default_oracle_factory(problem, noise_mode="none", seed=0,
-                           distortion=2, forced=frozenset()):
+                           forced=frozenset()):
     """Per-role FPRAS factory: role 0 is the master, 1..m the slaves; each
     role gets its own failure nonce (session-private randomness)."""
 
     def factory(role: int):
         cfg = SimulatedOracleConfig(noise_mode=noise_mode, seed=seed,
-                                    failure_distortion=distortion,
                                     nonce=role, forced_failures=forced)
         return SimulatedOracles(problem, cfg).fpras
 
@@ -291,13 +290,7 @@ def default_oracle_factory(problem, noise_mode="none", seed=0,
 
 
 # ---------------------------------------------------------------------------
-# Registry and instance files.
-
-PROBLEMS = {
-    "all-bitstrings": AllBitstrings,
-    "knapsack": Knapsack,
-}
-
+# Instance files.
 
 def parse_instance(text: str):
     """Parse an instance file; returns (problem, instance).
@@ -312,7 +305,10 @@ def parse_instance(text: str):
     if head[0] == "allbits":
         if len(head) != 2:
             raise ValueError("expected `allbits <n>`")
-        return AllBitstrings(), int(head[1])
+        n = int(head[1])
+        if n < 0:
+            raise ValueError(f"allbits length {n} is negative")
+        return AllBitstrings(), n
     if head[0] == "knapsack":
         if len(head) != 3 or len(lines) < 2:
             raise ValueError("expected `knapsack <n> <C>` and a line of sizes")

@@ -25,16 +25,6 @@ class RunReport:
     def solutions(self) -> list[str]:
         return [e.solution for e in self.emissions]
 
-    @property
-    def mean_attempts(self) -> float:
-        if not self.emissions:
-            return 0.0
-        return sum(e.attempts for e in self.emissions) / len(self.emissions)
-
-    @property
-    def max_attempts(self) -> int:
-        return max((e.attempts for e in self.emissions), default=0)
-
 
 def frac_str(f: Fraction | None) -> str:
     if f is None:

@@ -3,8 +3,8 @@
 A node stands for a solution prefix w and owns the interval of [0,1) that
 the quasi-pivot partition gives w; its pivot splits that interval between
 the children w0 and w1. Nodes are expanded lazily, the first time a descent
-passes them, by a tier-supplied `split(prefix, depth)` that returns child
-0's share of the node. Each node also holds the banned mass inside its
+passes them, by a tier-supplied `split(prefix)` that returns child 0's
+share of the node. Each node also holds the banned mass inside its
 interval, so its available mass is its width minus that. Drawing a seed
 from the unbanned part of [0,1) and walking it to its solution is
 therefore one descent, and banning an emission adds its width along its
@@ -14,7 +14,6 @@ session frees each subtree it has drained.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,13 +42,6 @@ class IntervalHit:
         return self.high - self.low
 
 
-@functools.cache  # one Fraction per (d0, depth, mode) instead of per node
-def accuracy(d0: int, depth: int, eps_mode: str) -> Fraction:
-    """Child-count accuracy at a node `depth` levels above the leaves:
-    1/(8*d0) with d0 the root depth ("proof"), or 1/(8*depth) ("literal")."""
-    return Fraction(1, 8 * (d0 if eps_mode == "proof" else depth))
-
-
 class _Node:
     __slots__ = ("pivot", "left", "right", "banned")
 
@@ -73,7 +65,7 @@ class SelfReductionTrie:
     clipping expands only the nodes that straddle an end.
     """
 
-    def __init__(self, depth: int, split: Callable[[str, int], Fraction],
+    def __init__(self, depth: int, split: Callable[[str], Fraction],
                  span: tuple[Fraction, Fraction] = (ZERO, ONE)):
         self.depth = depth
         self.split = split
@@ -83,7 +75,7 @@ class SelfReductionTrie:
 
     def _expand(self, node: _Node, word: str, low: Fraction,
                 high: Fraction) -> Fraction:
-        share = self.split(word, self.depth - len(word))
+        share = self.split(word)
         node.pivot = pivot = low + share * (high - low)
         node.left, node.right = _Node(), _Node()
         return pivot

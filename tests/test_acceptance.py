@@ -106,7 +106,7 @@ def noisy_runs(corpus):
         sim = SimulatedOracles(problem, SimulatedOracleConfig(
             noise_mode="extreme", seed=_seed(label)))
         records = list(aia_enumerate(problem, sim.fptas, x,
-                                     random.Random(1), eps_mode="proof"))
+                                     random.Random(1)))
         phi = F(4, 9) / sim.fptas(x, F(1, 3)) if records else None
         out.append({"label": label, "brute": brute, "records": records,
                     "phi": phi})

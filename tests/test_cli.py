@@ -51,8 +51,7 @@ def test_enumerate_emits_csv(knap_file, tmp_path, algo, capsys):
 def test_enumerate_noise_flag(knap_file, tmp_path):
     out = tmp_path / "run.csv"
     rc = main(["enumerate", "--instance", str(knap_file), "--algo", "fpras",
-               "--noise", "extreme", "--delta", "1/20",
-               "--epsilon-mode", "literal", "--out", str(out)])
+               "--noise", "extreme", "--delta", "1/20", "--out", str(out)])
     assert rc == 0
 
 
@@ -117,11 +116,28 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("text", ["knapsack 3 5\n", "allbits\n",
                                   "knapsack 2 1\n-1 3\n",
-                                  "knapsack 2 -1\n1 3\n"])
+                                  "knapsack 2 -1\n1 3\n", "allbits -2\n"])
 def test_malformed_instance_exit_code(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     assert main(["enumerate", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["parallel", "--instance", "INST", "--slaves", "0"],
+    ["parallel", "--instance", "INST", "--alpha", "0"],
+    ["parallel", "--instance", "INST", "--delta-star", "0"],
+    ["profile", "--instance", "INST", "--window", "0"],
+    ["enumerate", "--instance", "INST", "--algo", "fpras", "--delta", "abc"],
+    # more slaves than the 8 solutions of allbits 3
+    ["parallel", "--instance", "INST", "--slaves", "20"],
+    ["parallel", "--instance", "INST", "--mode", "paced", "--t-ticks", "-5"],
+    ["gen", "--n", "3", "--capacity-frac", "nan"],
+])
+def test_bad_option_value_exit_code(allbits_file, capsys, argv):
+    assert main([str(allbits_file) if a == "INST" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
 

@@ -49,15 +49,14 @@ def test_iaccess_exact_counts_tile_with_exact_widths():
     assert all(w == F(1, n) for w in seen.values())
 
 
-@pytest.mark.parametrize("eps_mode", ["proof", "literal"])
-def test_iaccess_width_window_under_extreme_noise(eps_mode):
+def test_iaccess_width_window_under_extreme_noise():
     x = generate_knapsack(10, seed=5)
     n = KNAP.exact_count(x)
     fptas = noisy_counter(KNAP, seed=5)
     rng = random.Random(1)
     for _ in range(50):
         r = F(rng.getrandbits(64), 1 << 64)
-        hit = iaccess(KNAP, fptas, x, r, eps_mode=eps_mode)
+        hit = iaccess(KNAP, fptas, x, r)
         assert F(49, 64) / n <= hit.width <= F(64, 49) / n
         assert hit.low <= r < hit.high
         assert hit.solution in brute_force_solutions(KNAP, x)

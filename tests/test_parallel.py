@@ -199,8 +199,8 @@ def test_run_parallel_reads_no_record_past_its_output(monkeypatch):
     pulls = {}
     real_session = parallel.slave_session
 
-    def counted_session(problem, oracles, x, a, rng, eps_mode):
-        gen, dictionary = real_session(problem, oracles, x, a, rng, eps_mode)
+    def counted_session(problem, oracles, x, a, rng):
+        gen, dictionary = real_session(problem, oracles, x, a, rng)
         pulls[a.index] = 0
 
         def counted():

@@ -86,10 +86,6 @@ def test_run_report_properties():
     r = RunReport("aia", "allbits 2", 7,
                   [record("00", 3, attempts=2), record("01", 9, attempts=4)])
     assert r.solutions == ["00", "01"]
-    assert r.mean_attempts == 3.0
-    assert r.max_attempts == 4
-    empty = RunReport("aia", "allbits 0", 0, [])
-    assert empty.mean_attempts == 0.0 and empty.max_attempts == 0
 
 
 def test_delay_profile_windows():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from roenum.fpras import axa_enumerate
 from roenum.fptas import aia_enumerate, bernoulli_less
+from roenum.parallel import master_phase1
 from roenum.problem import brute_force_solutions
 from roenum.problems import (Knapsack, SimulatedOracleConfig,
                              SimulatedOracles, generate_knapsack)
@@ -15,12 +16,12 @@ F = Fraction
 KNAP = Knapsack()
 
 
-def uneven(word, depth):
+def uneven(word):
     # child 0 gets 1/4, 1/2 or 3/4 of a node, by the node's prefix
     return F(1 + word.count("1") % 3, 4)
 
 
-def dyadic(word, depth):
+def dyadic(word):
     return F(1, 2)
 
 
@@ -32,7 +33,7 @@ def reference_leaves(split, depth):
         if len(word) == depth:
             out[word] = (low, high)
             return
-        pivot = low + split(word, depth - len(word)) * (high - low)
+        pivot = low + split(word) * (high - low)
         walk(word + "0", low, pivot)
         walk(word + "1", pivot, high)
 
@@ -220,3 +221,28 @@ def test_emissions_are_the_solutions_and_tile_the_span(
     inside = {r.solution for r in full if lo <= r.low and r.high <= hi}
     assert sorted(r.solution for r in part) == sorted(inside)
     assert_tiles(part, lo, hi)
+
+
+def test_every_split_asks_for_one_eps():
+    # one accuracy per trie: every split at 1/(8*d0), the root at 1/3
+    x = generate_knapsack(7, seed=4)
+    asked = []  # (instance, eps) of every counter call
+
+    def fptas(y, eps):
+        asked.append((y, eps))
+        return KNAP.exact_count(y)
+
+    def fpras(y, eps, fail_budget):
+        return fptas(y, eps)
+
+    sessions = [
+        lambda: list(aia_enumerate(KNAP, fptas, x, random.Random(1))),
+        lambda: list(axa_enumerate(KNAP, fpras, x, F(1, 10),
+                                   random.Random(1))),
+        lambda: master_phase1(KNAP, fpras, x, F(1, 10), 3),
+    ]
+    for session in sessions:
+        asked.clear()
+        session()
+        assert [eps for y, eps in asked if y == x] == [F(1, 3)]
+        assert {eps for y, eps in asked if y != x} == {F(1, 8 * 7)}
