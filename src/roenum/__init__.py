@@ -1,8 +1,8 @@
 """Random-order enumeration for self-reducible search problems."""
 
 from .exact import SparsePermutation, ara_enumerate, raccess
-from .fptas import IntervalHit, aia_enumerate, bernoulli_less, iaccess
-from .fpras import PrefixDictionary, axa_enumerate, xaccess
+from .fptas import aia_enumerate, bernoulli_less, fptas_trie
+from .fpras import PrefixDictionary, axa_enumerate, fpras_trie
 from .parallel import (ParallelResult, RangeAssignment, master_phase1,
                        prefill_target, run_parallel, slave_session)
 from .problem import (BudgetExceeded, SelfReducibleProblem,
@@ -16,12 +16,12 @@ from .trie import SelfReductionTrie
 
 __all__ = [
     "AllBitstrings", "BudgetExceeded", "EmissionRecord",
-    "IntervalHit", "Knapsack", "KnapsackInstance", "ParallelResult",
+    "Knapsack", "KnapsackInstance", "ParallelResult",
     "PrefixDictionary", "RangeAssignment", "SelfReducibleProblem",
     "SelfReductionTrie", "SimulatedOracleConfig", "SimulatedOracles",
     "SparsePermutation", "aia_enumerate", "ara_enumerate",
     "axa_enumerate", "bernoulli_less", "brute_force_solutions",
-    "generate_knapsack", "iaccess", "master_phase1", "prefill_target",
-    "raccess", "run_parallel", "slave_session", "swor_enumerate",
-    "verify_self_reducibility", "xaccess",
+    "fpras_trie", "fptas_trie", "generate_knapsack", "master_phase1",
+    "prefill_target", "raccess", "run_parallel", "slave_session",
+    "swor_enumerate", "verify_self_reducibility",
 ]

@@ -39,23 +39,22 @@ def _oracles(problem, args, nonce: int = 0):
     return SimulatedOracles(problem, cfg)
 
 
-def _run_one(problem, x, args, seed: int, nonce: int = 0) -> stats.RunReport:
+def _run_one(problem, x, args, seed: int,
+             nonce: int = 0) -> list[EmissionRecord]:
     """One session; `nonce` salts the FPRAS failure draws of the session."""
     sim = _oracles(problem, args, nonce)
     rng = random.Random(seed)
     algo = args.algo
     if algo == "exact":
-        emissions = [EmissionRecord(w, None, None, Fraction(0), 1, i)
-                     for i, w in enumerate(
-                         exact.ara_enumerate(problem, sim.exact, x, rng), 1)]
-    elif algo == "fptas":
-        emissions = list(fptas.aia_enumerate(problem, sim.fptas, x, rng))
-    elif algo == "fpras":
-        emissions = list(fpras.axa_enumerate(
-            problem, sim.fpras, x, args.delta, rng))
-    else:  # "swor"
-        emissions = list(swor.swor_enumerate(problem, sim.exact, x, rng))
-    return stats.RunReport(algo, getattr(problem, "name", "?"), seed, emissions)
+        return [EmissionRecord(w, None, None, Fraction(0), 1, i)
+                for i, w in enumerate(
+                    exact.ara_enumerate(problem, sim.exact, x, rng), 1)]
+    if algo == "fptas":
+        return list(fptas.aia_enumerate(problem, sim.fptas, x, rng))
+    if algo == "fpras":
+        return list(fpras.axa_enumerate(problem, sim.fpras, x, args.delta,
+                                        rng))
+    return list(swor.swor_enumerate(problem, sim.exact, x, rng))  # "swor"
 
 
 def cmd_gen(args) -> int:
@@ -66,8 +65,7 @@ def cmd_gen(args) -> int:
 
 def cmd_enumerate(args) -> int:
     problem, x = args.loaded
-    report = _run_one(problem, x, args, args.seed)
-    _write(args, stats.emissions_csv(report))
+    _write(args, stats.emissions_csv(_run_one(problem, x, args, args.seed)))
     return 0
 
 
@@ -80,8 +78,7 @@ def cmd_parallel(args) -> int:
             s_ticks=args.s_ticks, t_ticks=args.t_ticks)
         print(f"pswor outputs={len(outputs)} draws={draws} "
               f"makespan={makespan}", file=sys.stderr)
-        report = stats.RunReport("pswor", problem.name, args.seed, outputs)
-        _write(args, stats.emissions_csv(report))
+        _write(args, stats.emissions_csv(outputs))
         return 0
     factory = default_oracle_factory(
         problem, noise_mode=args.noise, seed=args.seed)
@@ -99,14 +96,14 @@ def cmd_parallel(args) -> int:
     print(f"Q={result.prefill_q} prefill_tick={result.prefill_tick} "
           f"makespan={result.makespan} stalls={result.stalls}",
           file=sys.stderr)
-    report = stats.RunReport("paraxa", problem.name, args.seed, result.outputs)
-    _write(args, stats.emissions_csv(report))
+    _write(args, stats.emissions_csv(result.outputs))
     return 0 if result.complete else 1
 
 
 def cmd_uniformity(args) -> int:
     problem, x = args.loaded
-    runs = [_run_one(problem, x, args, args.seed + k, nonce=k)
+    runs = [[e.solution for e in _run_one(problem, x, args, args.seed + k,
+                                          nonce=k)]
             for k in range(args.runs)]
     try:
         result = stats.uniformity_test(runs, mode=args.mode)
@@ -120,8 +117,9 @@ def cmd_uniformity(args) -> int:
 
 def cmd_profile(args) -> int:
     problem, x = args.loaded
-    report = _run_one(problem, x, args, args.seed)
-    _write(args, stats.profile_csv(stats.delay_profile(report, args.window)))
+    emissions = _run_one(problem, x, args, args.seed)
+    _write(args, stats.profile_csv(stats.delay_profile(emissions,
+                                                       args.window)))
     return 0
 
 

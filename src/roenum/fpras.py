@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 from .fptas import bernoulli_less
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
-from .trie import IntervalHit, SelfReductionTrie, enumerate_trie
+from .trie import SelfReductionTrie, enumerate_trie
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,7 +66,8 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
     On a dictionary miss the estimate is computed at accuracy 1/(8*d0) and
     per-call failure budget 2**-(d0+1) * delta, then frozen, so every pivot
     is a constant of the session. When both estimates are 0 the node is
-    split at its midpoint, which keeps the tiling intact.
+    split at its midpoint, which keeps the tiling intact. Tries built on
+    one dictionary share every pivot.
     """
     d0 = problem.zeta(x)
     eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
@@ -86,13 +87,6 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
     return SelfReductionTrie(d0, split, span)
 
 
-def xaccess(problem: SelfReducibleProblem, fpras: Callable, x, r: Fraction,
-            delta: Fraction, dictionary: PrefixDictionary) -> IntervalHit:
-    """Interval access with memoized randomized estimates; repeated calls
-    on one dictionary see byte-identical partitions."""
-    return fpras_trie(problem, fpras, x, delta, dictionary).descend(r)
-
-
 def guarded_accept(rng: random.Random, ratio: Fraction) -> bool:
     """Rejection test behind the (1/4, 1) guard: a ratio outside the
     window means some counter call failed, and the candidate is emitted
@@ -109,25 +103,18 @@ def root_estimate(problem: SelfReducibleProblem, fpras: Callable, x,
 
 
 def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
-                  delta: Fraction, rng: random.Random,
-                  dictionary: PrefixDictionary | None = None,
-                  span: tuple[Fraction, Fraction] = (ZERO, ONE),
-                  phi_star: Fraction | None = None
+                  delta: Fraction, rng: random.Random
                   ) -> Iterator[EmissionRecord]:
-    """Emit all solutions whose intervals lie in `span` exactly once.
+    """Emit every solution of x exactly once.
 
     Completeness is unconditional; with probability >= 1 - delta every
     estimate is accurate and the run is a Las Vegas uniform random-order
-    enumeration. A slave passes its assigned range as `span` and the
-    master-computed `phi_star`; the rest of [0,1) is pre-banned.
+    enumeration.
     """
     delta = Fraction(delta)
-    dictionary = dictionary if dictionary is not None else PrefixDictionary()
-    if phi_star is None:
-        estimate = root_estimate(problem, fpras, x, delta)
-        if estimate == 0:
-            return
-        phi_star = Fraction(4, 9) / estimate
-
-    trie = fpras_trie(problem, fpras, x, delta, dictionary, span)
-    yield from enumerate_trie(trie, rng, phi_star, guarded_accept)
+    estimate = root_estimate(problem, fpras, x, delta)
+    if estimate == 0:
+        return
+    trie = fpras_trie(problem, fpras, x, delta, PrefixDictionary())
+    yield from enumerate_trie(trie, rng, Fraction(4, 9) / estimate,
+                              guarded_accept)

@@ -16,8 +16,7 @@ from typing import Callable, Iterator
 
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
-from .trie import (IntervalHit, NonTerminating, SelfReductionTrie,
-                   enumerate_trie)
+from .trie import SelfReductionTrie, enumerate_trie
 
 
 class EmptyBranch(Exception):
@@ -55,7 +54,8 @@ def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x
     """Trie whose pivots split each node in the ratio of the two child
     estimates, each taken at accuracy 1/(8*d0) with d0 the root depth. The
     counter is deterministic, so every pivot is a constant of the
-    instance."""
+    instance. Its `descend(r)` is the interval access: f(r) and its
+    interval."""
     d0 = problem.zeta(x)
     eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
 
@@ -67,13 +67,6 @@ def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x
         return Fraction(n0, n0 + n1)
 
     return SelfReductionTrie(d0, split)
-
-
-def iaccess(problem: SelfReducibleProblem, fptas: Callable, x,
-            r: Fraction) -> IntervalHit:
-    """Compute f(r) and its interval by quasi-pivot recursion, with child
-    counts estimated at accuracy 1/(8*d0)."""
-    return fptas_trie(problem, fptas, x).descend(r)
 
 
 def aia_enumerate(problem: SelfReducibleProblem, fptas: Callable, x,

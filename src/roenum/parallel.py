@@ -25,9 +25,10 @@ from itertools import chain, islice
 from typing import Callable, Iterator
 
 from .exact import raccess
-from .fpras import PrefixDictionary, axa_enumerate, fpras_trie, root_estimate
+from .fpras import PrefixDictionary, fpras_trie, guarded_accept, root_estimate
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
+from .trie import enumerate_trie
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -110,10 +111,9 @@ def slave_session(problem: SelfReducibleProblem, fpras: Callable, x,
 
     Returns (emission generator, dictionary) so callers can instrument."""
     dictionary = PrefixDictionary(preloaded=assignment.piece)
-    gen = axa_enumerate(problem, fpras, x, assignment.delta, rng,
-                        dictionary=dictionary,
-                        span=(assignment.low, assignment.high),
-                        phi_star=assignment.phi_star)
+    trie = fpras_trie(problem, fpras, x, assignment.delta, dictionary,
+                      (assignment.low, assignment.high))
+    gen = enumerate_trie(trie, rng, assignment.phi_star, guarded_accept)
     return gen, dictionary
 
 
@@ -243,8 +243,8 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
         if outputs:
             gaps.append(out_time - now)
         now = out_time
-        outputs.append(EmissionRecord(record.solution, record.low, record.high,
-                                      record.width, record.attempts, out_time))
+        record.tick = out_time
+        outputs.append(record)
         output_slaves.append(idx + 1)
 
     return ParallelResult(

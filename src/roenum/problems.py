@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .problem import BudgetExceeded, SelfReducibleProblem
@@ -296,7 +296,7 @@ def parse_instance(text: str):
     """Parse an instance file; returns (problem, instance).
 
     Format: `allbits <n>` on one line, or `knapsack <n> <C>` followed by a
-    line with the n sizes.
+    line with the n sizes (blank, or left out, when n = 0).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -310,10 +310,10 @@ def parse_instance(text: str):
             raise ValueError(f"allbits length {n} is negative")
         return AllBitstrings(), n
     if head[0] == "knapsack":
-        if len(head) != 3 or len(lines) < 2:
-            raise ValueError("expected `knapsack <n> <C>` and a line of sizes")
+        if len(head) != 3:
+            raise ValueError("expected `knapsack <n> <C>`")
         n, cap = int(head[1]), int(head[2])
-        sizes = tuple(int(t) for t in lines[1].split())
+        sizes = tuple(int(t) for t in lines[1].split()) if lines[1:] else ()
         if len(sizes) != n:
             raise ValueError(f"expected {n} sizes, got {len(sizes)}")
         if cap < 0 or any(s < 0 for s in sizes):

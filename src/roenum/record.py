@@ -1,4 +1,5 @@
-"""Emission records: the unit of statistics and of master/slave messages."""
+"""Emission records: what a trie descent returns, and the unit of
+statistics and of master/slave messages."""
 
 from __future__ import annotations
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .record import EmissionRecord
@@ -12,18 +11,6 @@ from .record import EmissionRecord
 
 class InsufficientRuns(Exception):
     """Not enough runs for the requested statistical test."""
-
-
-@dataclass
-class RunReport:
-    algorithm: str
-    instance: str
-    seed: int
-    emissions: list[EmissionRecord]
-
-    @property
-    def solutions(self) -> list[str]:
-        return [e.solution for e in self.emissions]
 
 
 def frac_str(f: Fraction | None) -> str:
@@ -34,10 +21,16 @@ def frac_str(f: Fraction | None) -> str:
 
 
 def chi_square_counts(counts: dict, expected: float) -> tuple[float, float]:
-    """Chi-square statistic and p-value against equal expected counts."""
+    """Chi-square statistic and p-value against equal expected counts.
+
+    A single category (a support of one solution) holds every draw: 0
+    degrees of freedom, reported as p = 1, since every order of one
+    solution is uniform."""
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    if len(counts) == 1:
+        return stat, 1.0
     from scipy.stats import chi2  # scipy takes ~0.8 s to import; only here
 
-    stat = sum((c - expected) ** 2 / expected for c in counts.values())
     return stat, float(chi2.sf(stat, len(counts) - 1))
 
 
@@ -83,22 +76,22 @@ def position_frequency_test(orders: list[tuple], support: set[str],
             "runs": len(orders), "support": m}
 
 
-def uniformity_test(runs: list[RunReport], mode: str = "first",
+def uniformity_test(runs: list[list[str]], mode: str = "first",
                     significance: float = 1e-3) -> dict:
+    """Each run is its session's solutions in emission order."""
     if not runs:
         raise InsufficientRuns("no runs")
-    support = set(runs[0].solutions)
+    support = set(runs[0])
     if mode == "first":
-        return first_emission_test([r.solutions[0] for r in runs], support,
+        return first_emission_test([r[0] for r in runs], support,
                                    significance)
-    return position_frequency_test([tuple(r.solutions) for r in runs],
+    return position_frequency_test([tuple(r) for r in runs],
                                    support, significance)
 
 
-def delay_profile(report: RunReport, window: int) -> list[dict]:
+def delay_profile(emissions: list[EmissionRecord], window: int) -> list[dict]:
     """Per-window mean attempts and mean inter-emission ticks."""
     rows = []
-    emissions = report.emissions
     prev_tick = 0
     for start in range(0, len(emissions), window):
         chunk = emissions[start:start + window]
@@ -112,13 +105,13 @@ def delay_profile(report: RunReport, window: int) -> list[dict]:
     return rows
 
 
-def emissions_csv(report: RunReport) -> str:
+def emissions_csv(emissions: list[EmissionRecord]) -> str:
     """RFC-4180 CSV of one run; exact rationals as num/den strings."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(["index", "solution", "low", "high", "width",
                      "attempts", "tick"])
-    for i, e in enumerate(report.emissions, 1):
+    for i, e in enumerate(emissions, 1):
         writer.writerow([i, e.solution, frac_str(e.low), frac_str(e.high),
                          frac_str(e.width), e.attempts, str(e.tick)])
     return buf.getvalue()

@@ -15,7 +15,6 @@ session frees each subtree it has drained.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -27,19 +26,6 @@ ONE = Fraction(1)
 
 class NonTerminating(Exception):
     """Attempt watchdog fired; signals a broken oracle."""
-
-
-@dataclass
-class IntervalHit:
-    """Solution f(r) together with its interval [low, high)."""
-
-    solution: str
-    low: Fraction
-    high: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.high - self.low
 
 
 class _Node:
@@ -92,7 +78,7 @@ class SelfReductionTrie:
             self._clip(node.right, word + "1", pivot, high, lo, hi)
             node.banned = node.left.banned + node.right.banned
 
-    def descend(self, y: Fraction) -> IntervalHit:
+    def descend(self, y: Fraction) -> EmissionRecord:
         """The solution whose interval holds the y-th unit of available
         mass, for y in [0, available). On an unbanned trie y is the seed r
         itself and the result is f(r).
@@ -113,19 +99,19 @@ class SelfReductionTrie:
                 node, word, high = left, word + "0", pivot
             else:
                 node, word, low, r = node.right, word + "1", pivot, shifted
-        return IntervalHit(word, low, high)
+        return EmissionRecord(word, low, high, high - low)
 
-    def ban(self, hit: IntervalHit):
+    def ban(self, record: EmissionRecord):
         """Add the mass of a drawn solution along its path, and drop the
         children of every node left without available mass."""
         path = [self.root]
-        for bit in hit.solution:
+        for bit in record.solution:
             if _dead(path[-1]):
                 break
             path.append(path[-1].left if bit == "0" else path[-1].right)
         if _dead(path[-1]):
-            raise ValueError(f"{hit.solution!r} is already banned")
-        width = hit.width
+            raise ValueError(f"{record.solution!r} is already banned")
+        width = record.width
         for node in path:
             node.banned = node.banned + width if node.banned else width
         self.available -= width
@@ -157,9 +143,9 @@ def enumerate_trie(trie: SelfReductionTrie, rng: random.Random,
                 raise NonTerminating(f"{cap} attempts without an emission")
             tick += 1
             u = Fraction(rng.getrandbits(bits), 1 << bits)
-            hit = trie.descend(u * trie.available)
-            if accept(rng, phi_star / hit.width):
+            record = trie.descend(u * trie.available)
+            if accept(rng, phi_star / record.width):
                 break
-        trie.ban(hit)
-        yield EmissionRecord(hit.solution, hit.low, hit.high, hit.width,
-                             attempts, tick)
+        trie.ban(record)
+        record.attempts, record.tick = attempts, tick
+        yield record

@@ -22,7 +22,7 @@ from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
                              default_oracle_factory, generate_knapsack)
 from roenum.stats import delay_profile, first_emission_test, \
-    position_frequency_test, RunReport
+    position_frequency_test
 from roenum.swor import swor_enumerate
 
 F = Fraction
@@ -374,7 +374,7 @@ def test_criterion_12_swor_contrast():
 
     aia = list(aia_enumerate(ALLBITS, lambda x, e: 1 << x, n,
                              random.Random(0)))
-    profile = delay_profile(RunReport("aia", "allbits 10", 0, aia), 128)
+    profile = delay_profile(aia, 128)
     max_window = max(row["mean_attempts"] for row in profile)
 
     ok = (abs(mean_total - expected) <= 0.10 * expected and

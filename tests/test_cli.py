@@ -88,6 +88,16 @@ def test_uniformity_passes_on_uniform_algorithm(allbits_file, capsys):
     assert "passed=True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["first", "full"])
+def test_uniformity_passes_on_a_single_solution(tmp_path, capsys, mode):
+    path = tmp_path / "one.txt"
+    path.write_text("allbits 0\n")
+    rc = main(["uniformity", "--instance", str(path), "--algo", "fptas",
+               "--runs", "50", "--mode", mode])
+    assert rc == 0
+    assert "pvalue=1 runs=50 passed=True" in capsys.readouterr().out
+
+
 def test_uniformity_insufficient_runs(allbits_file, capsys):
     rc = main(["uniformity", "--instance", str(allbits_file), "--algo",
                "fptas", "--runs", "10"])

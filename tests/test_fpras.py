@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from roenum.fpras import (PrefixDictionary, axa_enumerate, root_estimate,
-                          xaccess)
-from roenum.fptas import iaccess
+from roenum.fpras import (PrefixDictionary, axa_enumerate, fpras_trie,
+                          root_estimate)
+from roenum.fptas import fptas_trie
+from roenum.parallel import RangeAssignment, slave_session
 from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
@@ -43,12 +44,16 @@ def test_xaccess_memoizes_every_estimate():
     x = generate_knapsack(8, seed=1)
     oracles = make_oracles(KNAP, seed=1)
     d = PrefixDictionary()
-    xaccess(KNAP, oracles.fpras, x, F(1, 3), F(1, 10), d)
+
+    def access(r):  # a fresh trie on the shared dictionary
+        return fpras_trie(KNAP, oracles.fpras, x, F(1, 10), d).descend(r)
+
+    access(F(1, 3))
     calls_after_first = oracles.calls["fpras"]
-    hit1 = xaccess(KNAP, oracles.fpras, x, F(1, 3), F(1, 10), d)
+    hit1 = access(F(1, 3))
     # identical seed: fully served from the dictionary
     assert oracles.calls["fpras"] == calls_after_first
-    hit2 = xaccess(KNAP, oracles.fpras, x, F(1, 3), F(1, 10), d)
+    hit2 = access(F(1, 3))
     assert (hit1.solution, hit1.low, hit1.high) == \
         (hit2.solution, hit2.low, hit2.high)
 
@@ -60,10 +65,11 @@ def test_xaccess_delta_zero_matches_iaccess():
     oracles = make_oracles(KNAP, seed=3)
     d = PrefixDictionary()
     rng = random.Random(5)
+    randomized = fpras_trie(KNAP, oracles.fpras, x, F(0), d)
+    deterministic = fptas_trie(KNAP, oracles.fptas, x)
     for _ in range(25):
         r = F(rng.getrandbits(64), 1 << 64)
-        a = xaccess(KNAP, oracles.fpras, x, r, F(0), d)
-        b = iaccess(KNAP, oracles.fptas, x, r)
+        a, b = randomized.descend(r), deterministic.descend(r)
         assert (a.solution, a.low, a.high) == (b.solution, b.low, b.high)
 
 
@@ -73,8 +79,9 @@ def test_xaccess_midpoint_fallback_keeps_tiling():
 
     d = PrefixDictionary()
     widths = {}
+    trie = fpras_trie(ALLBITS, zero_counter, 3, F(1, 10), d)
     for k in range(16):
-        hit = xaccess(ALLBITS, zero_counter, 3, F(2 * k + 1, 32), F(1, 10), d)
+        hit = trie.descend(F(2 * k + 1, 32))
         widths[hit.solution] = hit.width
     assert set(widths) == {f"{i:03b}" for i in range(8)}
     assert sum(widths.values()) == F(1)
@@ -105,12 +112,15 @@ def test_axa_complete_despite_forced_failure():
 
 def test_axa_span_restricts_output():
     oracles = make_oracles(ALLBITS, noise="none")
-    left = list(axa_enumerate(ALLBITS, oracles.fpras, 3, F(1, 10),
-                              random.Random(0), span=(F(0), F(1, 2)),
-                              phi_star=F(4, 9) / 8))
-    right = list(axa_enumerate(ALLBITS, oracles.fpras, 3, F(1, 10),
-                               random.Random(1), span=(F(1, 2), F(1)),
-                               phi_star=F(4, 9) / 8))
+
+    def session(index, low, high):
+        a = RangeAssignment(index, low, high, {}, F(4, 9) / 8, F(1, 10))
+        gen, _ = slave_session(ALLBITS, oracles.fpras, 3, a,
+                               random.Random(index - 1))
+        return list(gen)
+
+    left = session(1, F(0), F(1, 2))
+    right = session(2, F(1, 2), F(1))
     assert {r.solution for r in left} == {f"0{i:02b}" for i in range(4)}
     assert {r.solution for r in right} == {f"1{i:02b}" for i in range(4)}
 
@@ -125,10 +135,11 @@ def test_axa_failure_free_ratio_in_window():
     phi_star = F(4, 9) / est
     d = PrefixDictionary()
     rng = random.Random(4)
+    trie = fpras_trie(KNAP, oracles.fpras, x, delta, d)
     in_window = total = 0
     for _ in range(40):
         r = F(rng.getrandbits(64), 1 << 64)
-        hit = xaccess(KNAP, oracles.fpras, x, r, delta, d)
+        hit = trie.descend(r)
         total += 1
         in_window += F(1, 4) < phi_star / hit.width < F(1)
     assert in_window == total

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from roenum.fptas import (EmptyBranch, NonTerminating, aia_enumerate,
-                          bernoulli_less, fptas_trie, iaccess)
+from roenum.fptas import (EmptyBranch, aia_enumerate, bernoulli_less,
+                          fptas_trie)
 from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
                              generate_knapsack)
+from roenum.trie import NonTerminating
 
 F = Fraction
 ALLBITS = AllBitstrings()
@@ -25,14 +26,14 @@ def noisy_counter(problem, seed=0):
 
 
 def test_iaccess_allbits_example():
-    hit = iaccess(ALLBITS, exact_counter(ALLBITS), 2, F(5, 8))
+    hit = fptas_trie(ALLBITS, exact_counter(ALLBITS), 2).descend(F(5, 8))
     assert hit.solution == "10"
     assert (hit.low, hit.high) == (F(1, 2), F(3, 4))
 
 
 def test_iaccess_knapsack_example():
     x = KnapsackInstance(3, (1, 2, 3))
-    hit = iaccess(KNAP, exact_counter(KNAP), x, F(0))
+    hit = fptas_trie(KNAP, exact_counter(KNAP), x).descend(F(0))
     assert hit.solution == "000"
     assert (hit.low, hit.high) == (F(0), F(1, 5))
 
@@ -41,8 +42,9 @@ def test_iaccess_exact_counts_tile_with_exact_widths():
     x = KnapsackInstance(6, (1, 2, 3, 4))
     n = KNAP.exact_count(x)
     seen = {}
+    trie = fptas_trie(KNAP, exact_counter(KNAP), x)
     for k in range(4 * n):
-        hit = iaccess(KNAP, exact_counter(KNAP), x, F(2 * k + 1, 8 * n))
+        hit = trie.descend(F(2 * k + 1, 8 * n))
         seen[hit.solution] = hit.width
     assert set(seen) == set(brute_force_solutions(KNAP, x))
     # exact counts make every interval exactly 1/N wide
@@ -54,9 +56,10 @@ def test_iaccess_width_window_under_extreme_noise():
     n = KNAP.exact_count(x)
     fptas = noisy_counter(KNAP, seed=5)
     rng = random.Random(1)
+    trie = fptas_trie(KNAP, fptas, x)
     for _ in range(50):
         r = F(rng.getrandbits(64), 1 << 64)
-        hit = iaccess(KNAP, fptas, x, r)
+        hit = trie.descend(r)
         assert F(49, 64) / n <= hit.width <= F(64, 49) / n
         assert hit.low <= r < hit.high
         assert hit.solution in brute_force_solutions(KNAP, x)
@@ -67,7 +70,7 @@ def test_iaccess_is_consistent_within_session():
     x = generate_knapsack(8, seed=9)
     fptas = noisy_counter(KNAP, seed=9)
     r = F(1, 3)
-    a = iaccess(KNAP, fptas, x, r)
+    a = fptas_trie(KNAP, fptas, x).descend(r)
     # a session's trie expands each pivot once and reuses it
     trie = fptas_trie(KNAP, fptas, x)
     b, c = trie.descend(r), trie.descend(r)
@@ -80,7 +83,7 @@ def test_iaccess_empty_branch_raises():
         return 0
 
     with pytest.raises(EmptyBranch):
-        iaccess(ALLBITS, zero_counter, 3, F(1, 2))
+        fptas_trie(ALLBITS, zero_counter, 3).descend(F(1, 2))
 
 
 def test_bernoulli_less_edges_and_mean():
@@ -126,9 +129,10 @@ def test_aia_acceptance_ratio_window():
     fptas = noisy_counter(KNAP, seed=13)
     phi_star = F(4, 9) / fptas(x, F(1, 3))
     rng = random.Random(0)
+    trie = fptas_trie(KNAP, fptas, x)
     for _ in range(40):
         r = F(rng.getrandbits(64), 1 << 64)
-        hit = iaccess(KNAP, fptas, x, r)
+        hit = trie.descend(r)
         assert F(1, 4) < phi_star / hit.width < F(1)
 
 

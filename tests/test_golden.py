@@ -22,8 +22,8 @@ from fractions import Fraction
 import pytest
 
 from roenum.exact import ara_enumerate
-from roenum.fpras import PrefixDictionary, axa_enumerate, xaccess
-from roenum.fptas import aia_enumerate, iaccess
+from roenum.fpras import PrefixDictionary, axa_enumerate, fpras_trie
+from roenum.fptas import aia_enumerate, fptas_trie
 from roenum.parallel import master_phase1, run_parallel, slave_session
 from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
@@ -91,8 +91,10 @@ def access_rows(name, noise, seed):
     rows = []
     for _ in range(20):
         r = F(rng.getrandbits(64), 1 << 64)
-        for hit in (iaccess(problem, sim.fptas, x, r),
-                    xaccess(problem, sim.fpras, x, r, F(1, 4), d)):
+        # a fresh trie per access; the FPRAS ones share the dictionary
+        for trie in (fptas_trie(problem, sim.fptas, x),
+                     fpras_trie(problem, sim.fpras, x, F(1, 4), d)):
+            hit = trie.descend(r)
             rows.append((hit.solution, str(hit.low), str(hit.high)))
     return rows
 

@@ -11,8 +11,7 @@ from hypothesis import example, given, strategies as st
 from roenum import parallel, transport
 from roenum.parallel import (DegeneratePartition, boundary_piece_keys,
                              dequeue, master_phase1, prefill_target,
-                             pswor_run, run_parallel, slave_session,
-                             weighted_pick)
+                             pswor_run, run_parallel, weighted_pick)
 from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, default_oracle_factory,
                              generate_knapsack)

@@ -313,6 +313,12 @@ def test_instance_file_roundtrip():
     ab_problem, n = parse_instance("allbits 5\n")
     assert isinstance(ab_problem, AllBitstrings)
     assert n == 5
+    empty = KnapsackInstance(3, ())  # n = 0: the sizes line is blank
+    text = format_instance(KS, empty)
+    assert text == "knapsack 0 3\n\n"
+    problem, parsed = parse_instance(text)
+    assert isinstance(problem, Knapsack)
+    assert parsed == empty
 
 
 def test_parse_rejects_garbage():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from roenum.record import EmissionRecord
-from roenum.stats import (InsufficientRuns, RunReport, chi_square_counts,
+from roenum.stats import (InsufficientRuns, chi_square_counts,
                           delay_profile, emissions_csv, first_emission_test,
                           frac_str, position_frequency_test, profile_csv,
                           uniformity_test)
@@ -18,9 +18,8 @@ def record(word, tick, attempts=1, low=F(0), width=F(1, 4)):
     return EmissionRecord(word, low, low + width, width, attempts, tick)
 
 
-def report(words, algorithm="test"):
-    recs = [record(w, tick=i + 1) for i, w in enumerate(words)]
-    return RunReport(algorithm, "allbits 2", 0, recs)
+def emissions(words):
+    return [record(w, tick=i + 1) for i, w in enumerate(words)]
 
 
 def test_frac_str():
@@ -75,23 +74,30 @@ def test_uniformity_test_dispatch():
     for seed in range(500):
         o = ["a", "b", "c"]
         rng.shuffle(o)
-        runs.append(report(o))
+        runs.append(o)
     assert uniformity_test(runs, mode="first")["test"] == "first-emission"
     assert uniformity_test(runs, mode="full")["test"] == "position-frequency"
     with pytest.raises(InsufficientRuns):
         uniformity_test([], mode="first")
 
 
-def test_run_report_properties():
-    r = RunReport("aia", "allbits 2", 7,
-                  [record("00", 3, attempts=2), record("01", 9, attempts=4)])
-    assert r.solutions == ["00", "01"]
+def test_single_solution_support_passes():
+    # one solution: 0 degrees of freedom, and every order is uniform
+    assert chi_square_counts({"": 50}, 50) == (0.0, 1.0)
+    runs = [[""]] * 50
+    for mode in ("first", "full"):
+        result = uniformity_test(runs, mode=mode)
+        assert result["passed"] and result["support"] == 1
+    assert uniformity_test(runs, mode="first")["pvalue"] == 1.0
+    assert uniformity_test(runs, mode="full")["pvalues"] == [1.0]
+    with pytest.raises(InsufficientRuns):
+        uniformity_test(runs[:49], mode="first")
 
 
 def test_delay_profile_windows():
     recs = [record(w, tick=10 * (i + 1), attempts=i + 1)
             for i, w in enumerate(["00", "01", "10", "11"])]
-    rows = delay_profile(RunReport("aia", "allbits 2", 0, recs), window=2)
+    rows = delay_profile(recs, window=2)
     assert [r["window"] for r in rows] == [0, 1]
     assert rows[0]["mean_attempts"] == 1.5
     assert rows[0]["mean_ticks"] == 10.0  # ticks 0..20 over 2 emissions
@@ -99,7 +105,7 @@ def test_delay_profile_windows():
 
 
 def test_emissions_csv_roundtrip():
-    text = emissions_csv(report(["00", "11"]))
+    text = emissions_csv(emissions(["00", "11"]))
     assert text.endswith("\r\n")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["index", "solution", "low", "high", "width",

@@ -1,16 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roenum.fpras import axa_enumerate
-from roenum.fptas import aia_enumerate, bernoulli_less
-from roenum.parallel import master_phase1
+from roenum.fpras import (PrefixDictionary, axa_enumerate, fpras_trie,
+                          guarded_accept, root_estimate)
+from roenum.fptas import aia_enumerate, bernoulli_less, fptas_trie
+from roenum.parallel import RangeAssignment, master_phase1, slave_session
 from roenum.problem import brute_force_solutions
 from roenum.problems import (Knapsack, SimulatedOracleConfig,
                              SimulatedOracles, generate_knapsack)
-from roenum.trie import IntervalHit, SelfReductionTrie, enumerate_trie
+from roenum.record import EmissionRecord
+from roenum.trie import SelfReductionTrie, enumerate_trie
 
 F = Fraction
 KNAP = Knapsack()
@@ -121,7 +124,7 @@ def test_ban_outside_span_raises():
     clipped = SelfReductionTrie(2, dyadic, span=(F(1, 4), F(1)))
     assert clipped.available == F(3, 4)
     with pytest.raises(ValueError):
-        clipped.ban(IntervalHit("00", F(0), F(1, 4)))
+        clipped.ban(EmissionRecord("00", F(0), F(1, 4), F(1, 4)))
 
 
 def test_span_must_end_on_a_leaf_endpoint():
@@ -216,8 +219,11 @@ def test_emissions_are_the_solutions_and_tile_the_span(
     ends = sorted({r.low for r in full} | {F(1)})
     lo = data.draw(st.sampled_from(ends[:-1]))
     hi = data.draw(st.sampled_from([e for e in ends if e > lo]))
-    part = list(axa_enumerate(KNAP, sim.fpras, x, F(1, 2),
-                              random.Random(nonce + 1), span=(lo, hi)))
+    phi = F(4, 9) / root_estimate(KNAP, sim.fpras, x, F(1, 2))
+    part, _ = slave_session(KNAP, sim.fpras, x,
+                            RangeAssignment(1, lo, hi, {}, phi, F(1, 2)),
+                            random.Random(nonce + 1))
+    part = list(part)
     inside = {r.solution for r in full if lo <= r.low and r.high <= hi}
     assert sorted(r.solution for r in part) == sorted(inside)
     assert_tiles(part, lo, hi)
@@ -246,3 +252,95 @@ def test_every_split_asks_for_one_eps():
         session()
         assert [eps for y, eps in asked if y == x] == [F(1, 3)]
         assert {eps for y, eps in asked if y != x} == {F(1, 8 * 7)}
+
+
+def leaf_intervals(trie):
+    """Every solution's interval on an unbanned trie, walked left to right
+    (there y = r, so each descent starts where the last interval ends)."""
+    out, y = {}, F(0)
+    while y < 1:
+        hit = trie.descend(y)
+        assert hit.low == y < hit.high
+        out[hit.solution] = (hit.low, hit.high)
+        y = hit.high
+    return out
+
+
+def pinned_session(trie, reference, records):
+    """Run a session, checking before each emission and after the last
+    that `descend` maps a_w, the unbanned mass left of w, to w and its
+    exact interval for every solution w not yet emitted. Returns the
+    emissions."""
+    remaining = dict(reference)
+    emitted = []
+    for record in itertools.chain([None], records):
+        if record is not None:
+            assert (record.low, record.high) == remaining.pop(record.solution)
+            emitted.append(record)
+        a_w = F(0)
+        for w, (low, high) in sorted(remaining.items(), key=lambda i: i[1]):
+            hit = trie.descend(a_w)
+            assert (hit.solution, hit.low, hit.high, hit.width) == \
+                (w, low, high, high - low)
+            a_w += high - low
+        assert trie.available == a_w
+    assert remaining == {}
+    return emitted
+
+
+# Each map session returns (trie, reference intervals, the session's
+# emissions on that trie, the same session run by its public entry point).
+
+def aia_map_session():
+    x = generate_knapsack(10, seed=5)  # 101 solutions
+    fptas = SimulatedOracles(KNAP, SimulatedOracleConfig(
+        noise_mode="extreme", seed=5)).fptas
+    reference = leaf_intervals(fptas_trie(KNAP, fptas, x))
+    assert sorted(reference) == sorted(brute_force_solutions(KNAP, x))
+    trie = fptas_trie(KNAP, fptas, x)
+    phi = F(4, 9) / fptas(x, F(1, 3))
+    return (trie, reference,
+            enumerate_trie(trie, random.Random(5), phi, bernoulli_less),
+            aia_enumerate(KNAP, fptas, x, random.Random(5)))
+
+
+def axa_map_session():
+    # delta = 0: no counter call fails, so a fresh dictionary gives the
+    # same pivots
+    x = generate_knapsack(9, seed=3)  # 57 solutions
+    fpras = SimulatedOracles(KNAP, SimulatedOracleConfig(
+        noise_mode="hash", seed=3)).fpras
+    reference = leaf_intervals(
+        fpras_trie(KNAP, fpras, x, F(0), PrefixDictionary()))
+    assert sorted(reference) == sorted(brute_force_solutions(KNAP, x))
+    trie = fpras_trie(KNAP, fpras, x, F(0), PrefixDictionary())
+    phi = F(4, 9) / root_estimate(KNAP, fpras, x, F(0))
+    return (trie, reference,
+            enumerate_trie(trie, random.Random(3), phi, guarded_accept),
+            axa_enumerate(KNAP, fpras, x, F(0), random.Random(3)))
+
+
+def span_map_session():
+    # slave 2 of 3 on a delta = 0 partition
+    x = generate_knapsack(10, seed=4)
+    fpras = SimulatedOracles(KNAP, SimulatedOracleConfig(
+        noise_mode="hash", seed=4)).fpras
+    a = master_phase1(KNAP, fpras, x, F(0), 3)[0][1]
+    full = leaf_intervals(
+        fpras_trie(KNAP, fpras, x, F(0), PrefixDictionary()))
+    reference = {w: (low, high) for w, (low, high) in full.items()
+                 if a.low <= low and high <= a.high}
+    trie = fpras_trie(KNAP, fpras, x, a.delta,
+                      PrefixDictionary(preloaded=a.piece), (a.low, a.high))
+    return (trie, reference,
+            enumerate_trie(trie, random.Random(4), a.phi_star,
+                           guarded_accept),
+            slave_session(KNAP, fpras, x, a, random.Random(4))[0])
+
+
+@pytest.mark.parametrize("session", [aia_map_session, axa_map_session,
+                                     span_map_session],
+                         ids=["aia-extreme", "axa-hash", "slave-span"])
+def test_descend_maps_remaining_mass_to_each_solution(session):
+    trie, reference, records, public = session()
+    assert pinned_session(trie, reference, records) == list(public)
