@@ -24,10 +24,10 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, Iterator
 
-from .exact import raccess
 from .fpras import PrefixDictionary, fpras_trie, guarded_accept, root_estimate
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
+from .swor import swor_enumerate
 from .trie import enumerate_trie
 
 ZERO = Fraction(0)
@@ -259,27 +259,13 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
 def pswor_run(problem: SelfReducibleProblem, exact: Callable, x, m: int,
               seed: int, s_ticks=1, t_ticks=1,
               max_outputs: int | None = None):
-    """Parallel SWOR baseline: m independent uniform samplers feed a master
-    that dedups. Returns (outputs, total candidate draws, makespan)."""
-    total = exact(x)
-    d = problem.zeta(x)
-    rng = random.Random(seed)
-    slave_rngs = [random.Random(rng.getrandbits(64)) for _ in range(m)]
-    next_tick = [s_ticks + t_ticks] * m
-    seen: set[str] = set()
-    outputs: list[EmissionRecord] = []
-    draws = 0
-    limit = max_outputs if max_outputs is not None else total
-    while len(outputs) < limit:
-        j = min(range(m), key=lambda k: next_tick[k])
-        tick = next_tick[j]
-        next_tick[j] += s_ticks
-        draws += 1
-        i = slave_rngs[j].randint(1, total)
-        word = raccess(problem, exact, x, i, d)
-        if word not in seen:
-            seen.add(word)
-            outputs.append(EmissionRecord(word, None, None,
-                                          Fraction(1, total), 1, tick))
+    """Parallel SWOR baseline: `swor_enumerate` on a round-robin clock. The
+    k-th candidate (a record's tick k) comes from slave (k-1) mod m and
+    arrives at tick ((k-1)//m + 1)*s + t. Returns (outputs, total
+    candidate draws, makespan)."""
+    outputs = list(islice(swor_enumerate(problem, exact, x,
+                                         random.Random(seed)), max_outputs))
+    for record in outputs:
+        record.tick = ((record.tick - 1) // m + 1) * s_ticks + t_ticks
     makespan = outputs[-1].tick if outputs else 0
-    return outputs, draws, makespan
+    return outputs, sum(r.attempts for r in outputs), makespan

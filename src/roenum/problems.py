@@ -51,10 +51,10 @@ class AllBitstrings(SelfReducibleProblem):
 
 @dataclass(frozen=True)
 class KnapsackInstance:
-    """Residual knapsack instance; capacity None is the infeasible sentinel
+    """Residual knapsack instance; a negative capacity is infeasible
     (solution set empty, zeta still counts the remaining items)."""
 
-    capacity: int | None
+    capacity: int
     sizes: tuple[int, ...]
 
 
@@ -72,30 +72,23 @@ class Knapsack(SelfReducibleProblem):
 
     def reduce(self, x: KnapsackInstance, word: str) -> KnapsackInstance:
         k = min(len(word), len(x.sizes))
-        rest = x.sizes[k:]
-        if x.capacity is None:
-            return KnapsackInstance(None, rest)
         cap = x.capacity
         for i, b in enumerate(word[:k]):
             if b == "1":
                 cap -= x.sizes[i]
-        if cap < 0:
-            return KnapsackInstance(None, rest)
-        return KnapsackInstance(cap, rest)
+        return KnapsackInstance(cap, x.sizes[k:])
 
     def membership(self, x: KnapsackInstance, word: str) -> bool:
-        if len(word) != len(x.sizes) or x.capacity is None:
+        if len(word) != len(x.sizes):
             return False
         total = sum(s for s, b in zip(x.sizes, word) if b == "1")
         return total <= x.capacity
 
     def base_check(self, x: KnapsackInstance) -> bool:
-        return x.capacity is not None and x.capacity >= 0
+        return x.capacity >= 0
 
     def size(self, x: KnapsackInstance) -> int:
-        # a negative capacity is infeasible, the same as the None sentinel
-        cap = -1 if x.capacity is None else max(x.capacity, -1)
-        return len(x.sizes) + cap + 2
+        return len(x.sizes) + max(x.capacity, -1) + 2
 
     def instance_key(self, x: KnapsackInstance) -> tuple:
         return ("ks", x.capacity, x.sizes)
@@ -127,7 +120,7 @@ class Knapsack(SelfReducibleProblem):
         subset fits counts 2**n with no chain.
         """
         cap = x.capacity
-        if cap is None or cap < 0:
+        if cap < 0:
             return 0
         entry = self._chain.get(x.sizes)
         if entry is None or entry[0] < cap:
@@ -296,22 +289,24 @@ def parse_instance(text: str):
     """Parse an instance file; returns (problem, instance).
 
     Format: `allbits <n>` on one line, or `knapsack <n> <C>` followed by a
-    line with the n sizes (blank, or left out, when n = 0).
+    line with the n sizes (blank, or left out, when n = 0). Any further
+    non-blank line is an error.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty instance file")
     head = lines[0].split()
     if head[0] == "allbits":
-        if len(head) != 2:
-            raise ValueError("expected `allbits <n>`")
+        if len(head) != 2 or lines[1:]:
+            raise ValueError("expected one line, `allbits <n>`")
         n = int(head[1])
         if n < 0:
             raise ValueError(f"allbits length {n} is negative")
         return AllBitstrings(), n
     if head[0] == "knapsack":
-        if len(head) != 3:
-            raise ValueError("expected `knapsack <n> <C>`")
+        if len(head) != 3 or lines[2:]:
+            raise ValueError("expected `knapsack <n> <C>` and at most one "
+                             "line of sizes")
         n, cap = int(head[1]), int(head[2])
         sizes = tuple(int(t) for t in lines[1].split()) if lines[1:] else ()
         if len(sizes) != n:

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 from .record import EmissionRecord
 
+SIGNIFICANCE = 1e-3  # family-wise level of every uniformity test
+
 
 class InsufficientRuns(Exception):
     """Not enough runs for the requested statistical test."""
@@ -34,59 +36,48 @@ def chi_square_counts(counts: dict, expected: float) -> tuple[float, float]:
     return stat, float(chi2.sf(stat, len(counts) - 1))
 
 
-def first_emission_test(first_words: list[str], support: set[str],
-                        significance: float = 1e-3) -> dict:
-    """Chi-square on the first emission across runs against uniform 1/M."""
+def _position_test(orders: list[tuple], support: set[str], positions: int,
+                   name: str) -> dict:
+    """Chi-square against uniform 1/M of which solution lands at each
+    position k < `positions`, on at least 50*M*positions runs; `pvalue`,
+    the smallest, must reach the Bonferroni SIGNIFICANCE/positions."""
     m = len(support)
-    if len(first_words) < 50 * m:
-        raise InsufficientRuns(f"need >= {50 * m} runs, got {len(first_words)}")
-    counts = {w: 0 for w in support}
-    for w in first_words:
-        counts[w] += 1
-    stat, pvalue = chi_square_counts(counts, len(first_words) / m)
-    return {"test": "first-emission", "statistic": stat, "pvalue": pvalue,
-            "passed": pvalue >= significance, "runs": len(first_words),
-            "support": m}
-
-
-def position_frequency_test(orders: list[tuple], support: set[str],
-                            significance: float = 1e-3) -> dict:
-    """Per-position chi-square of which solution lands at position k.
-
-    Each position's marginal is uniform over Sol(x) when every emission is
-    uniform over the remaining solutions; positions are tested separately
-    with a Bonferroni-corrected threshold.
-    """
-    m = len(support)
-    if len(orders) < 50 * m * m:
-        raise InsufficientRuns(
-            f"need >= {50 * m * m} runs, got {len(orders)}")
-    threshold = significance / m
-    worst = 1.0
-    per_position = []
-    for k in range(m):
+    need = 50 * m * positions
+    if len(orders) < need:
+        raise InsufficientRuns(f"need >= {need} runs, got {len(orders)}")
+    pvalues = []
+    for k in range(positions):
         counts = {w: 0 for w in support}
         for order in orders:
             counts[order[k]] += 1
-        stat, pvalue = chi_square_counts(counts, len(orders) / m)
-        per_position.append(pvalue)
-        worst = min(worst, pvalue)
-    return {"test": "position-frequency", "pvalues": per_position,
-            "min_pvalue": worst, "passed": worst >= threshold,
+        pvalues.append(chi_square_counts(counts, len(orders) / m)[1])
+    pvalue = min(pvalues)
+    return {"test": name, "pvalues": pvalues, "pvalue": pvalue,
+            "passed": pvalue >= SIGNIFICANCE / positions,
             "runs": len(orders), "support": m}
 
 
-def uniformity_test(runs: list[list[str]], mode: str = "first",
-                    significance: float = 1e-3) -> dict:
+def first_emission_test(first_words: list[str], support: set[str]) -> dict:
+    """Position 0 only: the first emission across runs."""
+    return _position_test([(w,) for w in first_words], support, 1,
+                          "first-emission")
+
+
+def position_frequency_test(orders: list[tuple], support: set[str]) -> dict:
+    """Every position: each marginal is uniform over Sol(x) when every
+    emission is uniform over the remaining solutions."""
+    return _position_test(orders, support, len(support),
+                          "position-frequency")
+
+
+def uniformity_test(runs: list[list[str]], mode: str = "first") -> dict:
     """Each run is its session's solutions in emission order."""
     if not runs:
         raise InsufficientRuns("no runs")
     support = set(runs[0])
     if mode == "first":
-        return first_emission_test([r[0] for r in runs], support,
-                                   significance)
-    return position_frequency_test([tuple(r) for r in runs],
-                                   support, significance)
+        return first_emission_test([r[0] for r in runs], support)
+    return position_frequency_test([tuple(r) for r in runs], support)
 
 
 def delay_profile(emissions: list[EmissionRecord], window: int) -> list[dict]:

@@ -48,6 +48,18 @@ def test_enumerate_emits_csv(knap_file, tmp_path, algo, capsys):
     assert len(words) == problem.exact_count(x)
 
 
+@pytest.mark.parametrize("algo", ["exact", "swor"])
+def test_index_tiers_write_width_one_over_m(knap_file, tmp_path, algo):
+    out = tmp_path / "run.csv"
+    assert main(["enumerate", "--instance", str(knap_file), "--algo", algo,
+                 "--seed", "1", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    problem, x = parse_instance(knap_file.read_text())
+    m = problem.exact_count(x)
+    assert len(rows) == m
+    assert {row["width"] for row in rows} == {f"1/{m}"}
+
+
 def test_enumerate_noise_flag(knap_file, tmp_path):
     out = tmp_path / "run.csv"
     rc = main(["enumerate", "--instance", str(knap_file), "--algo", "fpras",
@@ -126,7 +138,9 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("text", ["knapsack 3 5\n", "allbits\n",
                                   "knapsack 2 1\n-1 3\n",
-                                  "knapsack 2 -1\n1 3\n", "allbits -2\n"])
+                                  "knapsack 2 -1\n1 3\n", "allbits -2\n",
+                                  "knapsack 1 3\n2\n7 7 7\n",
+                                  "allbits 2\nknapsack 1 3\n"])
 def test_malformed_instance_exit_code(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)

@@ -158,7 +158,7 @@ def test_axa_mean_attempts_bounded():
 
 
 def test_axa_empty_instance():
-    x = KnapsackInstance(None, (1, 2, 3))
+    x = KnapsackInstance(-1, (1, 2, 3))
     oracles = make_oracles(KNAP)
     assert list(axa_enumerate(KNAP, oracles.fpras, x, F(1, 10),
                               random.Random(0))) == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -103,6 +104,30 @@ def test_bernoulli_less_dyadic_threshold_terminates():
     assert abs(hits - 2000) < 3 * (8000 * 0.25 * 0.75) ** 0.5
 
 
+class ScriptedBits:
+    """A bit source that replays one fixed bit string, one bit per read."""
+
+    def __init__(self, bits):
+        self.bits = iter(bits)
+
+    def getrandbits(self, k):
+        assert k == 1
+        bit = next(self.bits, None)
+        assert bit is not None, "read past the end of the script"
+        return bit
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_bernoulli_less_exact_law_on_every_bit_string(length):
+    # run over all 2**L scripts of length L, exactly p accept t = p/2**L
+    # (t = 0 and t = 1 included), so P(accept) = t exactly, with no
+    # sampling noise; no draw reads more than L bits
+    scripts = list(itertools.product((0, 1), repeat=length))
+    for p in range(2 ** length + 1):
+        t = F(p, 2 ** length)
+        assert sum(bernoulli_less(ScriptedBits(s), t) for s in scripts) == p
+
+
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_aia_allbits_complete_and_exact(n):
     records = list(aia_enumerate(ALLBITS, exact_counter(ALLBITS), n,
@@ -148,7 +173,7 @@ def test_aia_mean_attempts_bounded():
 
 
 def test_aia_empty_instance_yields_nothing():
-    x = KnapsackInstance(None, (1, 2))
+    x = KnapsackInstance(-1, (1, 2))
     assert list(aia_enumerate(KNAP, exact_counter(KNAP), x,
                               random.Random(0))) == []
 

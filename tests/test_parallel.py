@@ -15,6 +15,7 @@ from roenum.parallel import (DegeneratePartition, boundary_piece_keys,
 from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, default_oracle_factory,
                              generate_knapsack)
+from roenum.swor import swor_enumerate
 from roenum.transport import run_parallel_tcp
 
 F = Fraction
@@ -227,6 +228,27 @@ def test_pswor_complete_and_paced_by_s():
     assert len(words) == len(set(words))
     assert draws >= 32
     assert makespan == max(r.tick for r in outputs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("s_ticks", [0, 7])
+def test_pswor_is_serial_swor_on_the_clock(m, s_ticks):
+    serial = list(swor_enumerate(ALLBITS, ALLBITS.exact_count, 4,
+                                 random.Random(9)))
+    outputs, draws, makespan = pswor_run(ALLBITS, ALLBITS.exact_count, 4,
+                                         m=m, seed=9, s_ticks=s_ticks,
+                                         t_ticks=20)
+    assert [r.solution for r in outputs] == [r.solution for r in serial]
+    assert [r.attempts for r in outputs] == [r.attempts for r in serial]
+    k = 0  # candidates drawn so far; the k-th comes from slave (k-1) mod m
+    for record in outputs:
+        k += record.attempts
+        assert record.tick == ((k - 1) // m + 1) * s_ticks + 20
+    assert draws == k
+    assert makespan == outputs[-1].tick
+    cut, _, _ = pswor_run(ALLBITS, ALLBITS.exact_count, 4, m=m, seed=9,
+                          s_ticks=s_ticks, t_ticks=20, max_outputs=5)
+    assert cut == outputs[:5]
 
 
 def test_tcp_transport_roundtrip():

@@ -47,7 +47,7 @@ def test_verify_knapsack():
 @pytest.mark.parametrize("inst", [KnapsackInstance(-4, (0, 0, 3)),
                                   KnapsackInstance(-1, (1, 2))])
 def test_verify_knapsack_with_negative_capacity(inst):
-    # a negative capacity sizes like the infeasible sentinel reduce makes
+    # every negative capacity is infeasible and sizes alike
     assert verify_self_reducibility(KS, inst)
 
 

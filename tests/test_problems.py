@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from roenum import problems
 from roenum.exact import ara_enumerate
-from roenum.problem import BudgetExceeded, brute_force_solutions
+from roenum.problem import (BudgetExceeded, brute_force_solutions,
+                            verify_self_reducibility)
 from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
                              SimulatedOracleConfig, SimulatedOracles,
                              format_instance, generate_knapsack,
@@ -22,7 +23,7 @@ KS = Knapsack()
     (KnapsackInstance(3, (1, 2, 3)), 5),
     (KnapsackInstance(0, (1, 1)), 1),
     (KnapsackInstance(6, (1, 2, 3)), 8),
-    (KnapsackInstance(None, (4, 4)), 0),
+    (KnapsackInstance(-1, (4, 4)), 0),
 ])
 def test_knapsack_exact_count(inst, expected):
     assert KS.exact_count(inst) == expected
@@ -47,7 +48,7 @@ def test_knapsack_count_around_the_size_sum(slack):
 def loop_count(capacity, sizes):
     """Reference: the loop-over-capacities DP that the bit-parallel
     counter replaced (packings with total exactly c, for c = 0..C)."""
-    if capacity is None or capacity < 0:
+    if capacity < 0:
         return 0
     table = [0] * (capacity + 1)
     table[0] = 1
@@ -85,6 +86,19 @@ def test_bit_parallel_count_beyond_64_bits(n):
 def test_negative_capacity_counts_no_packing(inst):
     assert Knapsack().exact_count(inst) == 0
     assert brute_force_solutions(KS, inst) == set()
+
+
+def test_reducing_past_the_capacity_leaves_a_negative_capacity():
+    x = KnapsackInstance(3, (2, 2, 5))
+    over = KS.reduce(x, "11")
+    assert over == KnapsackInstance(-1, (5,))
+    assert KS.reduce(over, "0") == KnapsackInstance(-1, ())
+    assert KS.reduce(x, "001") == KnapsackInstance(-2, ())
+    assert KS.exact_count(over) == 0
+    assert not KS.base_check(over)
+    assert not any(KS.membership(over, w) for w in ("0", "1"))
+    assert not KS.membership(x, "110")
+    assert verify_self_reducibility(KS, x)
 
 
 def test_count_cache_holds_one_key_per_suffix():
@@ -159,7 +173,7 @@ def test_all_bitstrings_closed_form():
 
 def test_fptas_zero_iff_empty():
     sim = SimulatedOracles(KS, SimulatedOracleConfig(noise_mode="hash"))
-    assert sim.fptas(KnapsackInstance(None, (2,)), Fraction(1, 4)) == 0
+    assert sim.fptas(KnapsackInstance(-1, (2,)), Fraction(1, 4)) == 0
     assert sim.fptas(KnapsackInstance(2, (1,)), Fraction(1, 4)) >= 1
 
 

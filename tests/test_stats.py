@@ -75,8 +75,15 @@ def test_uniformity_test_dispatch():
         o = ["a", "b", "c"]
         rng.shuffle(o)
         runs.append(o)
-    assert uniformity_test(runs, mode="first")["test"] == "first-emission"
-    assert uniformity_test(runs, mode="full")["test"] == "position-frequency"
+    first = uniformity_test(runs, mode="first")
+    full = uniformity_test(runs, mode="full")
+    assert first["test"] == "first-emission"
+    assert full["test"] == "position-frequency"
+    # one chi-square over positions: one position, or all three
+    assert first.keys() == full.keys()
+    assert len(first["pvalues"]) == 1 and len(full["pvalues"]) == 3
+    assert full["pvalues"][0] == first["pvalue"]
+    assert full["pvalue"] == min(full["pvalues"])
     with pytest.raises(InsufficientRuns):
         uniformity_test([], mode="first")
 
@@ -88,8 +95,7 @@ def test_single_solution_support_passes():
     for mode in ("first", "full"):
         result = uniformity_test(runs, mode=mode)
         assert result["passed"] and result["support"] == 1
-    assert uniformity_test(runs, mode="first")["pvalue"] == 1.0
-    assert uniformity_test(runs, mode="full")["pvalues"] == [1.0]
+        assert result["pvalue"] == 1.0 and result["pvalues"] == [1.0]
     with pytest.raises(InsufficientRuns):
         uniformity_test(runs[:49], mode="first")
 
