@@ -83,12 +83,6 @@ def cmd_parallel(args) -> int:
         return 0
     factory = default_oracle_factory(
         problem, noise_mode=args.noise, seed=args.seed)
-    if args.transport == "tcp":
-        from . import transport
-        order = transport.run_parallel_tcp(
-            problem, x, args.delta, args.slaves, args.seed, factory)
-        _write(args, "\n".join(order) + "\n")
-        return 0
     result = parallel.run_parallel(
         problem, x, args.delta, args.slaves, args.seed,
         oracle_factory=factory, mode=args.mode,
@@ -198,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=PROBABILITY, default="1/10")
     p.add_argument("--delta-star", type=FAILURE_BOUND, default="1/10")
     p.add_argument("--mode", choices=["greedy", "paced"], default="greedy")
-    p.add_argument("--transport", choices=["virtual", "tcp"],
-                   default="virtual")
     p.add_argument("--s-ticks", type=TICKS, default=100)
     p.add_argument("--t-ticks", type=TICKS, default=100)
     p.add_argument("--noise", choices=["none", "hash", "extreme"],

@@ -236,7 +236,7 @@ def test_criterion_06_uniformity():
         orders, {f"{i:02b}" for i in range(4)})
 
     detail = ", ".join(
-        f"{k}: p={v.get('pvalue', v.get('min_pvalue')):.2g}"
+        f"{k}: p={v['pvalue']:.2g}"
         for k, v in results.items())
     ok = all(v["passed"] for v in results.values())
     _report(6, "uniformity chi-square at 1e-3", ok,

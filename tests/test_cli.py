@@ -78,14 +78,6 @@ def test_parallel_virtual(allbits_file, tmp_path, capsys):
     assert {r[1] for r in rows[1:]} == {f"{i:03b}" for i in range(8)}
 
 
-def test_parallel_tcp(allbits_file, tmp_path):
-    out = tmp_path / "order.txt"
-    rc = main(["parallel", "--instance", str(allbits_file),
-               "--transport", "tcp", "--slaves", "2", "--out", str(out)])
-    assert rc == 0
-    assert set(out.read_text().split()) == {f"{i:03b}" for i in range(8)}
-
-
 def test_parallel_pswor(allbits_file, tmp_path):
     rc = main(["parallel", "--instance", str(allbits_file), "--algo",
                "pswor", "--slaves", "2", "--out",
@@ -159,6 +151,7 @@ def test_malformed_instance_exit_code(tmp_path, capsys, text):
     ["parallel", "--instance", "INST", "--slaves", "20"],
     ["parallel", "--instance", "INST", "--mode", "paced", "--t-ticks", "-5"],
     ["gen", "--n", "3", "--capacity-frac", "nan"],
+    ["parallel", "--instance", "INST", "--transport", "tcp"],  # no such option
 ])
 def test_bad_option_value_exit_code(allbits_file, capsys, argv):
     assert main([str(allbits_file) if a == "INST" else a for a in argv]) == 2

@@ -1,5 +1,6 @@
 """The README names only code that exists: every backticked dotted name
-whose head is a `roenum` module or a name `roenum` exports resolves."""
+whose head is a `roenum` module or a name `roenum` exports resolves, and
+every command of its CLI block parses."""
 
 import importlib
 import pkgutil
@@ -9,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import roenum
+from roenum import cli
 
 README = Path(__file__).parents[1] / "README.md"
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
 MODULES = {info.name for info in pkgutil.iter_modules(roenum.__path__)}
+CLI_BLOCK = re.compile(r"^## CLI\n.*?^```sh\n(.*?)^```", re.M | re.S)
 
 
 def roenum_names(text: str) -> list[str]:
@@ -37,3 +40,23 @@ def test_readme_name_resolves(name):
            else getattr(roenum, head))
     for attr in rest:
         obj = getattr(obj, attr)
+
+
+def cli_commands(text: str) -> list[list[str]]:
+    """The argument lists of the `roenum ...` lines in the code block of
+    the CLI section, each without its trailing `#` comment."""
+    block = CLI_BLOCK.search(text).group(1)
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()
+            if line.startswith("roenum ")]
+
+
+def test_cli_commands_are_found():
+    text = ("## CLI\n\n```sh\nroenum gen --n 3   # note\nls\n```\n"
+            "```sh\nroenum verify\n```\n")
+    assert cli_commands(text) == [["gen", "--n", "3"]]
+
+
+@pytest.mark.parametrize("argv", cli_commands(README.read_text()),
+                         ids=lambda argv: " ".join(argv))
+def test_readme_cli_command_parses(argv):
+    cli.build_parser().parse_args(argv)

@@ -1,14 +1,11 @@
 import random
-import socket
-import threading
-import time
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from roenum import parallel, transport
+from roenum import parallel
 from roenum.parallel import (DegeneratePartition, boundary_piece_keys,
                              dequeue, master_phase1, prefill_target,
                              pswor_run, run_parallel, weighted_pick)
@@ -16,7 +13,6 @@ from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, default_oracle_factory,
                              generate_knapsack)
 from roenum.swor import swor_enumerate
-from roenum.transport import run_parallel_tcp
 
 F = Fraction
 ALLBITS = AllBitstrings()
@@ -220,6 +216,31 @@ def test_run_parallel_reads_no_record_past_its_output(monkeypatch):
         assert n <= q + result.output_slaves.count(index)
 
 
+def test_run_parallel_raises_a_slave_error(monkeypatch):
+    # slave 1 yields 3 records and then raises: the master passes that
+    # error on, neither reporting a drained slave nor returning a partial
+    # result, whether the failure comes in the prefill or after it
+    real_session = parallel.slave_session
+
+    def failing_session(problem, oracles, x, a, rng):
+        gen, dictionary = real_session(problem, oracles, x, a, rng)
+        if a.index != 1:
+            return gen, dictionary
+
+        def three_then_fail():
+            yield from islice(gen, 3)
+            raise ValueError("slave 1 failed")
+        return three_then_fail(), dictionary
+
+    monkeypatch.setattr(parallel, "slave_session", failing_session)
+    x = generate_knapsack(9, seed=8)
+    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=8)
+    for q_override in (1, None):
+        with pytest.raises(ValueError, match="slave 1 failed"):
+            run_parallel(KNAP, x, F(1, 10), 3, seed=8,
+                         oracle_factory=factory, q_override=q_override)
+
+
 def test_pswor_complete_and_paced_by_s():
     outputs, draws, makespan = pswor_run(ALLBITS, ALLBITS.exact_count, 5,
                                          m=2, seed=4, s_ticks=7, t_ticks=20)
@@ -249,157 +270,3 @@ def test_pswor_is_serial_swor_on_the_clock(m, s_ticks):
     cut, _, _ = pswor_run(ALLBITS, ALLBITS.exact_count, 4, m=m, seed=9,
                           s_ticks=s_ticks, t_ticks=20, max_outputs=5)
     assert cut == outputs[:5]
-
-
-def test_tcp_transport_roundtrip():
-    x = generate_knapsack(8, seed=5)
-    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=5)
-    output = run_parallel_tcp(KNAP, x, F(1, 10), 2, seed=5,
-                              oracle_factory=factory)
-    assert set(output) == set(brute_force_solutions(KNAP, x))
-    assert len(output) == len(set(output))
-
-
-def test_tcp_transport_matches_run_parallel():
-    # slave seeds follow the slave index, not the accept order
-    x = generate_knapsack(9, seed=8)
-    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=8)
-    expected = [o.solution for o in run_parallel(
-        KNAP, x, F(1, 10), 3, seed=8, oracle_factory=factory).outputs]
-    for _ in range(3):
-        assert run_parallel_tcp(KNAP, x, F(1, 10), 3, seed=8,
-                                oracle_factory=factory) == expected
-
-
-def _tcp_within(seconds, *args, **kwargs):
-    """run_parallel_tcp in a thread; the test fails if it is still waiting."""
-    result = {}
-
-    def target():
-        try:
-            result["value"] = run_parallel_tcp(*args, **kwargs)
-        except Exception as exc:
-            result["error"] = exc
-
-    th = threading.Thread(target=target, daemon=True)
-    th.start()
-    th.join(seconds)
-    assert not th.is_alive(), "run_parallel_tcp is still waiting"
-    if "error" in result:
-        raise result["error"]
-    return result["value"]
-
-
-def test_tcp_transport_names_a_failed_slave(monkeypatch):
-    real_session = transport.slave_session
-
-    def failing_session(problem, oracles, x, a, rng):
-        if a.index == 2:
-            raise ValueError("slave 2 failed")
-        return real_session(problem, oracles, x, a, rng)
-
-    monkeypatch.setattr(transport, "slave_session", failing_session)
-    x = generate_knapsack(8, seed=5)
-    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=5)
-    with pytest.raises(RuntimeError, match=r"slave\(s\) \[2\] of 3") as info:
-        _tcp_within(60, KNAP, x, F(1, 10), 3, seed=5, oracle_factory=factory)
-    assert isinstance(info.value.__cause__, ValueError)
-
-
-def test_tcp_transport_names_a_slave_that_fails_mid_stream(monkeypatch):
-    # the master runs out of slave 1's records while its width remains
-    real_session = transport.slave_session
-
-    def failing_session(problem, oracles, x, a, rng):
-        gen, dictionary = real_session(problem, oracles, x, a, rng)
-        if a.index != 1:
-            return gen, dictionary
-
-        def three_then_fail():
-            yield from islice(gen, 3)
-            raise ValueError("slave 1 failed")
-        return three_then_fail(), dictionary
-
-    monkeypatch.setattr(transport, "slave_session", failing_session)
-    x = generate_knapsack(9, seed=8)
-    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=8)
-    result = run_parallel(KNAP, x, F(1, 10), 3, seed=8,
-                          oracle_factory=factory)
-    assert result.output_slaves.count(1) > 3
-    with pytest.raises(RuntimeError, match=r"slave\(s\) \[1\] of 3") as info:
-        _tcp_within(60, KNAP, x, F(1, 10), 3, seed=8, oracle_factory=factory)
-    assert isinstance(info.value.__cause__, ValueError)
-
-
-def test_tcp_master_reads_a_record_only_when_it_takes_it(monkeypatch):
-    # records parsed minus records taken never exceeds one
-    held = []
-    real_parse, real_dequeue = transport.parse_emission, transport.dequeue
-
-    def counted_parse(msg):
-        held.append(1)
-        return real_parse(msg)
-
-    def counted_dequeue(*args):
-        for item in real_dequeue(*args):
-            held.append(-1)
-            yield item
-
-    monkeypatch.setattr(transport, "parse_emission", counted_parse)
-    monkeypatch.setattr(transport, "dequeue", counted_dequeue)
-    x = generate_knapsack(9, seed=8)
-    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=8)
-    output = _tcp_within(60, KNAP, x, F(1, 10), 3, seed=8,
-                         oracle_factory=factory)
-    assert sorted(output) == sorted(brute_force_solutions(KNAP, x))
-    assert max(accumulate(held)) == 1
-
-
-def test_tcp_transport_names_a_slave_that_never_connects(monkeypatch):
-    real_connect = socket.create_connection
-    calls = []
-
-    def connect_all_but_one(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise ConnectionRefusedError("slave died before connecting")
-        return real_connect(*args, **kwargs)
-
-    monkeypatch.setattr(transport.socket, "create_connection",
-                        connect_all_but_one)
-    x = generate_knapsack(6, seed=5)
-    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=5)
-    with pytest.raises(RuntimeError, match=r"slave\(s\) \[2\] of 2") as info:
-        _tcp_within(60, KNAP, x, F(1, 10), 2, seed=5, oracle_factory=factory)
-    assert isinstance(info.value.__cause__, ConnectionRefusedError)
-
-
-def test_tcp_transport_waits_for_slow_slaves(monkeypatch):
-    # a late connection and long gaps between frames are not failures
-    real_connect = socket.create_connection
-    real_session = transport.slave_session
-    calls = []
-
-    def late_connect(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            time.sleep(20 * transport.ACCEPT_POLL_S)
-        return real_connect(*args, **kwargs)
-
-    def slow_session(problem, oracles, x, a, rng):
-        gen, dictionary = real_session(problem, oracles, x, a, rng)
-
-        def paced():
-            for rec in gen:
-                time.sleep(0.05)
-                yield rec
-        return paced(), dictionary
-
-    monkeypatch.setattr(transport.socket, "create_connection", late_connect)
-    monkeypatch.setattr(transport, "slave_session", slow_session)
-    x = generate_knapsack(6, seed=5)
-    factory = default_oracle_factory(KNAP, noise_mode="hash", seed=5)
-    expected = [o.solution for o in run_parallel(
-        KNAP, x, F(1, 10), 2, seed=5, oracle_factory=factory).outputs]
-    assert _tcp_within(60, KNAP, x, F(1, 10), 2, seed=5,
-                       oracle_factory=factory) == expected

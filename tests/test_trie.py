@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -344,3 +345,52 @@ def span_map_session():
 def test_descend_maps_remaining_mass_to_each_solution(session):
     trie, reference, records, public = session()
     assert pinned_session(trie, reference, records) == list(public)
+
+
+def aia_step_law_distances(x, seed):
+    """Run a full AIA session with extreme noise, computing before each
+    emission the exact law of that emission from the remaining widths.
+    Returns the largest total-variation distance from uniform over the
+    remaining solutions, with the rejection step and without it.
+
+    An attempt draws k uniform below 2^bits and descends from
+    y = k/2^bits * A, A the remaining width, so it reaches w for
+    ceil((a_w + width_w) 2^bits/A) - ceil(a_w 2^bits/A) values of k, a_w
+    the remaining width left of w (the map test pins which draws reach
+    which solution). It accepts w with probability min(1, phi*/width_w).
+    """
+    fptas = SimulatedOracles(KNAP, SimulatedOracleConfig(
+        noise_mode="extreme", seed=seed)).fptas
+    remaining = leaf_intervals(fptas_trie(KNAP, fptas, x))
+    phi = F(4, 9) / fptas(x, F(1, 3))
+    scale = 1 << (max(KNAP.zeta(x), 1) + 128)
+    worst = [F(0), F(0)]
+    for record in aia_enumerate(KNAP, fptas, x, random.Random(seed)):
+        intervals = sorted(remaining.values())
+        total = sum(high - low for low, high in intervals)
+        drawn, accepted, a_w = [], [], F(0)
+        for low, high in intervals:
+            width = high - low
+            draws = (math.ceil((a_w + width) * scale / total)
+                     - math.ceil(a_w * scale / total))
+            accepted.append(draws * min(F(1), phi / width))
+            drawn.append(draws)
+            a_w += width
+        for k, law in enumerate((accepted, drawn)):
+            mass, r = sum(law), len(law)
+            worst[k] = max(worst[k],
+                           sum(abs(p / mass - F(1, r)) for p in law) / 2)
+        assert (record.low, record.high) == remaining.pop(record.solution)
+    assert remaining == {}
+    return worst
+
+
+@pytest.mark.parametrize("seed, capacity_frac", [(5, 0.7), (3, 0.6)])
+def test_aia_emission_is_uniform_over_the_remaining_at_every_step(
+        seed, capacity_frac):
+    # extreme noise gives these knapsacks unequal widths, so without the
+    # rejection step the law is far from uniform
+    x = generate_knapsack(8, seed=seed, capacity_frac=capacity_frac)
+    with_rejection, without = aia_step_law_distances(x, seed)
+    assert with_rejection <= F(1, 1 << 100)
+    assert without > F(1, 1 << 20)
