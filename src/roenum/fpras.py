@@ -21,7 +21,6 @@ from .trie import SelfReductionTrie, enumerate_trie
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
@@ -61,19 +60,20 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
                delta: Fraction, dictionary: PrefixDictionary,
                span: tuple[Fraction, Fraction] = (ZERO, ONE)
                ) -> SelfReductionTrie:
-    """Trie whose pivots come from memoized randomized estimates.
+    """Trie whose split returns the two child estimates, each a memoized
+    randomized estimate.
 
     On a dictionary miss the estimate is computed at accuracy 1/(8*d0) and
     per-call failure budget 2**-(d0+1) * delta, then frozen, so every pivot
-    is a constant of the session. When both estimates are 0 the node is
-    split at its midpoint, which keeps the tiling intact. Tries built on
-    one dictionary share every pivot.
+    is a constant of the session. When both estimates are 0 the split
+    returns (1, 1), which puts the pivot at the node's midpoint and keeps
+    the tiling intact. Tries built on one dictionary share every pivot.
     """
     d0 = problem.zeta(x)
     eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
     fail_budget = Fraction(delta, 1 << (d0 + 1))
 
-    def split(word: str) -> Fraction:
+    def split(word: str) -> tuple[int, int]:
         w0, w1 = word + "0", word + "1"
         n0 = dictionary.lookup(
             w0, lambda: fpras(problem.reduce(x, w0), eps, fail_budget))
@@ -81,8 +81,8 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
             w1, lambda: fpras(problem.reduce(x, w1), eps, fail_budget))
         if n0 + n1 == 0:
             dictionary.midpoint_fallbacks += 1
-            return HALF
-        return Fraction(n0, n0 + n1)
+            return 1, 1
+        return n0, n1
 
     return SelfReductionTrie(d0, split, span)
 

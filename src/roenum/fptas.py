@@ -51,20 +51,20 @@ def bernoulli_less(rng: random.Random, threshold: Fraction) -> bool:
 
 def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x
                ) -> SelfReductionTrie:
-    """Trie whose pivots split each node in the ratio of the two child
-    estimates, each taken at accuracy 1/(8*d0) with d0 the root depth. The
-    counter is deterministic, so every pivot is a constant of the
-    instance. Its `descend(r)` is the interval access: f(r) and its
-    interval."""
+    """Trie whose split returns the two child estimates, each taken at
+    accuracy 1/(8*d0) with d0 the root depth, so each pivot divides its
+    node in their ratio. The counter is deterministic, so every pivot is a
+    constant of the instance. Its `descend(r)` is the interval access: f(r)
+    and its interval."""
     d0 = problem.zeta(x)
     eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
 
-    def split(word: str) -> Fraction:
+    def split(word: str) -> tuple[int, int]:
         n0 = fptas(problem.reduce(x, word + "0"), eps)
         n1 = fptas(problem.reduce(x, word + "1"), eps)
         if n0 + n1 == 0:
             raise EmptyBranch(f"both estimates 0 at prefix {word!r}")
-        return Fraction(n0, n0 + n1)
+        return n0, n1
 
     return SelfReductionTrie(d0, split)
 

@@ -3,13 +3,14 @@
 A node stands for a solution prefix w and owns the interval of [0,1) that
 the quasi-pivot partition gives w; its pivot splits that interval between
 the children w0 and w1. Nodes are expanded lazily, the first time a descent
-passes them, by a tier-supplied `split(prefix)` that returns child 0's
-share of the node. Each node also holds the banned mass inside its
-interval, so its available mass is its width minus that. Drawing a seed
-from the unbanned part of [0,1) and walking it to its solution is
-therefore one descent, and banning an emission adds its width along its
-path. A node whose whole interval is banned drops its children, so a
-session frees each subtree it has drained.
+passes them, by a tier-supplied `split(prefix)` that returns the two child
+estimates (n0, n1); the pivot gives child 0 the share n0/(n0 + n1) of the
+node. Each node also holds the banned mass inside its interval, so its
+available mass is its width minus that. Drawing a seed from the unbanned
+part of [0,1) and walking it to its solution is therefore one descent, and
+banning an emission adds its width along its path. A node whose whole
+interval is banned drops its children, so a session frees each subtree it
+has drained.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class SelfReductionTrie:
     clipping expands only the nodes that straddle an end.
     """
 
-    def __init__(self, depth: int, split: Callable[[str], Fraction],
+    def __init__(self, depth: int, split: Callable[[str], tuple[int, int]],
                  span: tuple[Fraction, Fraction] = (ZERO, ONE)):
         self.depth = depth
         self.split = split
@@ -61,8 +62,13 @@ class SelfReductionTrie:
 
     def _expand(self, node: _Node, word: str, low: Fraction,
                 high: Fraction) -> Fraction:
-        share = self.split(word)
-        node.pivot = pivot = low + share * (high - low)
+        # low + n0/t * (high - low) over one denominator, with low = a/b,
+        # high = c/d and t = n0 + n1: one gcd normalises it
+        n0, n1 = self.split(word)
+        a, b = low.numerator, low.denominator
+        c, d = high.numerator, high.denominator
+        t, ad = n0 + n1, a * d
+        node.pivot = pivot = Fraction(ad * t + (c * b - ad) * n0, b * d * t)
         node.left, node.right = _Node(), _Node()
         return pivot
 

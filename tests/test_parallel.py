@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -112,6 +113,31 @@ def test_weighted_pick_matches_fraction_reference(remaining, bits):
     for draw in (bits, *DRAW_EDGES):
         assert weighted_pick(remaining, total, FixedDraw(draw)) == \
             fraction_pick(remaining, draw)
+
+
+@given(remaining=st.lists(WIDTH, min_size=1, max_size=8).filter(
+           lambda ws: any(w > 0 for w in ws)))
+@example(remaining=[F(1, 3), F(0), F(2, 3)])
+@example(remaining=[F(10**30), F(1, 10**30)])  # a width no draw reaches
+def test_weighted_pick_exact_law(remaining):
+    # slave j owns the draws in [ceil(S_j 2^96/T), ceil((S_j + w_j) 2^96/T)),
+    # S_j the positive width before j and T the total: the ranges tile
+    # the 2^96 draws, the first and the last draw of each pick j, and its
+    # share is w_j/T to within one draw
+    total = sum(w for w in remaining if w > 0)
+    scale = 1 << 96
+    before, first = F(0), 0
+    for j, w in enumerate(remaining):
+        if w <= 0:
+            continue
+        before += w
+        end = math.ceil(before * scale / total)
+        assert abs(F(end - first, scale) - w / total) <= F(1, scale)
+        if end > first:
+            for draw in (first, end - 1):
+                assert weighted_pick(remaining, total, FixedDraw(draw)) == j
+        first = end
+    assert first == scale
 
 
 def test_prefill_target_reference_value():

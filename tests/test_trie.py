@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from roenum.fpras import (PrefixDictionary, axa_enumerate, fpras_trie,
                           guarded_accept, root_estimate)
@@ -22,11 +22,17 @@ KNAP = Knapsack()
 
 def uneven(word):
     # child 0 gets 1/4, 1/2 or 3/4 of a node, by the node's prefix
-    return F(1 + word.count("1") % 3, 4)
+    n0 = 1 + word.count("1") % 3
+    return n0, 4 - n0
 
 
 def dyadic(word):
-    return F(1, 2)
+    return 1, 1
+
+
+def old_pivot(low, high, n0, n1):
+    # the pivot as a share and three normalised operations
+    return low + F(n0, n0 + n1) * (high - low)
 
 
 def reference_leaves(split, depth):
@@ -37,7 +43,7 @@ def reference_leaves(split, depth):
         if len(word) == depth:
             out[word] = (low, high)
             return
-        pivot = low + split(word) * (high - low)
+        pivot = old_pivot(low, high, *split(word))
         walk(word + "0", low, pivot)
         walk(word + "1", pivot, high)
 
@@ -131,6 +137,39 @@ def test_ban_outside_span_raises():
 def test_span_must_end_on_a_leaf_endpoint():
     with pytest.raises(ValueError):
         SelfReductionTrie(2, dyadic, span=(F(1, 3), F(1)))
+
+
+@st.composite
+def node_ends(draw):
+    # denominators up to 2^256 stand for deep nodes, whose endpoints carry
+    # the product of every estimate sum above them
+    ends = []
+    for _ in range(2):
+        den = draw(st.integers(1, 1 << 256))
+        ends.append(F(draw(st.integers(0, den)), den))
+    low, high = sorted(ends)
+    assume(low < high)
+    return low, high
+
+
+ESTIMATE = st.integers(1, 1 << 64)
+ESTIMATES = st.one_of(st.just((1, 1)), st.tuples(st.just(0), ESTIMATE),
+                      st.tuples(ESTIMATE, st.just(0)),
+                      st.tuples(ESTIMATE, ESTIMATE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=node_ends(), estimates=ESTIMATES)
+@example(ends=(F(0), F(1)), estimates=(1, 1))
+@example(ends=(F(1, 3), F(1, 2)), estimates=(0, 7))
+@example(ends=(F(1, 3), F(1, 2)), estimates=(7, 0))
+def test_expand_pivot_matches_the_share_formula(ends, estimates):
+    low, high = ends
+    trie = SelfReductionTrie(1, lambda word: estimates)
+    pivot = trie._expand(trie.root, "", low, high)
+    assert pivot == old_pivot(low, high, *estimates) == trie.root.pivot
+    assert math.gcd(pivot.numerator, pivot.denominator) == 1
+    assert low <= pivot <= high
 
 
 @pytest.mark.parametrize("count", [1, 3, 10, 100, 1000])
@@ -347,25 +386,31 @@ def test_descend_maps_remaining_mass_to_each_solution(session):
     assert pinned_session(trie, reference, records) == list(public)
 
 
-def aia_step_law_distances(x, seed):
-    """Run a full AIA session with extreme noise, computing before each
-    emission the exact law of that emission from the remaining widths.
-    Returns the largest total-variation distance from uniform over the
-    remaining solutions, with the rejection step and without it.
+def aia_factor(ratio):
+    return min(F(1), ratio)
 
-    An attempt draws k uniform below 2^bits and descends from
-    y = k/2^bits * A, A the remaining width, so it reaches w for
-    ceil((a_w + width_w) 2^bits/A) - ceil(a_w 2^bits/A) values of k, a_w
-    the remaining width left of w (the map test pins which draws reach
-    which solution). It accepts w with probability min(1, phi*/width_w).
+
+def guarded_factor(ratio):
+    # AXA's guard emits without the test when the ratio is outside (1/4, 1)
+    return ratio if F(1, 4) < ratio < 1 else F(1)
+
+
+def step_law_distances(records, remaining, phi, factor, depth):
+    """Compute before each emission of a session the exact law of that
+    emission from the remaining widths. Returns the largest
+    total-variation distance from uniform over the remaining solutions,
+    with the rejection step and without it.
+
+    `remaining` maps each solution not yet emitted to its interval. An
+    attempt draws k uniform below 2^bits, bits = max(depth, 1) + 128, and
+    descends from y = k/2^bits * A, A the remaining width, so it reaches w
+    for ceil((a_w + width_w) 2^bits/A) - ceil(a_w 2^bits/A) values of k,
+    a_w the remaining width left of w (the map test pins which draws reach
+    which solution). It accepts w with probability factor(phi/width_w).
     """
-    fptas = SimulatedOracles(KNAP, SimulatedOracleConfig(
-        noise_mode="extreme", seed=seed)).fptas
-    remaining = leaf_intervals(fptas_trie(KNAP, fptas, x))
-    phi = F(4, 9) / fptas(x, F(1, 3))
-    scale = 1 << (max(KNAP.zeta(x), 1) + 128)
+    scale = 1 << (max(depth, 1) + 128)
     worst = [F(0), F(0)]
-    for record in aia_enumerate(KNAP, fptas, x, random.Random(seed)):
+    for record in records:
         intervals = sorted(remaining.values())
         total = sum(high - low for low, high in intervals)
         drawn, accepted, a_w = [], [], F(0)
@@ -373,7 +418,7 @@ def aia_step_law_distances(x, seed):
             width = high - low
             draws = (math.ceil((a_w + width) * scale / total)
                      - math.ceil(a_w * scale / total))
-            accepted.append(draws * min(F(1), phi / width))
+            accepted.append(draws * factor(phi / width))
             drawn.append(draws)
             a_w += width
         for k, law in enumerate((accepted, drawn)):
@@ -385,6 +430,45 @@ def aia_step_law_distances(x, seed):
     return worst
 
 
+def aia_step_law_distances(x, seed):
+    """The step-law distances of a full AIA session with extreme noise."""
+    fptas = SimulatedOracles(KNAP, SimulatedOracleConfig(
+        noise_mode="extreme", seed=seed)).fptas
+    remaining = leaf_intervals(fptas_trie(KNAP, fptas, x))
+    phi = F(4, 9) / fptas(x, F(1, 3))
+    return step_law_distances(
+        aia_enumerate(KNAP, fptas, x, random.Random(seed)), remaining, phi,
+        aia_factor, KNAP.zeta(x))
+
+
+def axa_step_law_distances(x, seed):
+    """The step-law distances of a full AXA session with hash noise and
+    delta = 0, so no counter call fails."""
+    fpras = SimulatedOracles(KNAP, SimulatedOracleConfig(
+        noise_mode="hash", seed=seed)).fpras
+    remaining = leaf_intervals(
+        fpras_trie(KNAP, fpras, x, F(0), PrefixDictionary()))
+    phi = F(4, 9) / root_estimate(KNAP, fpras, x, F(0))
+    return step_law_distances(
+        axa_enumerate(KNAP, fpras, x, F(0), random.Random(seed)), remaining,
+        phi, guarded_factor, KNAP.zeta(x))
+
+
+def slave_step_law_distances(x, seed):
+    """The step-law distances of slave 2 of 3 on a delta = 0 partition
+    with hash noise, over the solutions of its span."""
+    fpras = SimulatedOracles(KNAP, SimulatedOracleConfig(
+        noise_mode="hash", seed=seed)).fpras
+    a = master_phase1(KNAP, fpras, x, F(0), 3)[0][1]
+    full = leaf_intervals(
+        fpras_trie(KNAP, fpras, x, F(0), PrefixDictionary()))
+    remaining = {w: (low, high) for w, (low, high) in full.items()
+                 if a.low <= low and high <= a.high}
+    records, _ = slave_session(KNAP, fpras, x, a, random.Random(seed))
+    return step_law_distances(records, remaining, a.phi_star,
+                              guarded_factor, KNAP.zeta(x))
+
+
 @pytest.mark.parametrize("seed, capacity_frac", [(5, 0.7), (3, 0.6)])
 def test_aia_emission_is_uniform_over_the_remaining_at_every_step(
         seed, capacity_frac):
@@ -392,5 +476,19 @@ def test_aia_emission_is_uniform_over_the_remaining_at_every_step(
     # rejection step the law is far from uniform
     x = generate_knapsack(8, seed=seed, capacity_frac=capacity_frac)
     with_rejection, without = aia_step_law_distances(x, seed)
+    assert with_rejection <= F(1, 1 << 100)
+    assert without > F(1, 1 << 20)
+
+
+@pytest.mark.parametrize("law, n, seed, capacity_frac", [
+    (axa_step_law_distances, 8, 5, 0.7),
+    (slave_step_law_distances, 10, 4, 0.5),
+], ids=["axa-hash", "slave-span"])
+def test_guarded_emission_is_uniform_over_the_remaining_at_every_step(
+        law, n, seed, capacity_frac):
+    # hash noise leaves unequal widths, so without the rejection step the
+    # law is far from uniform
+    x = generate_knapsack(n, seed=seed, capacity_frac=capacity_frac)
+    with_rejection, without = law(x, seed)
     assert with_rejection <= F(1, 1 << 100)
     assert without > F(1, 1 << 20)
