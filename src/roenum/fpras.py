@@ -5,7 +5,9 @@ dictionary memoizes every estimate so the induced partition of [0,1) is
 consistent across all calls in a session, and the rejection guard skips
 the test whenever the acceptance ratio falls outside (1/4, 1) -- evidence
 of a failed counter call -- so completeness and the attempt bound hold
-unconditionally.
+unconditionally. Behind the dictionary, a trie calls the counter once per
+distinct residual instance (`trie.residual_counts`); an estimate reused
+for an equal residual is one fewer call the failure budget must cover.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterator
 from .fptas import bernoulli_less
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
-from .trie import SelfReductionTrie, enumerate_trie
+from .trie import SelfReductionTrie, enumerate_trie, residual_counts
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -65,20 +67,21 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
 
     On a dictionary miss the estimate is computed at accuracy 1/(8*d0) and
     per-call failure budget 2**-(d0+1) * delta, then frozen, so every pivot
-    is a constant of the session. When both estimates are 0 the split
-    returns (1, 1), which puts the pivot at the node's midpoint and keeps
-    the tiling intact. Tries built on one dictionary share every pivot.
+    is a constant of the session; a miss whose residual instance the trie
+    has already counted reuses that estimate. When both estimates are 0
+    the split returns (1, 1), which puts the pivot at the node's midpoint
+    and keeps the tiling intact. Tries built on one dictionary share every pivot.
     """
     d0 = problem.zeta(x)
     eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
     fail_budget = Fraction(delta, 1 << (d0 + 1))
+    child = residual_counts(
+        problem, x, lambda residual: fpras(residual, eps, fail_budget))
 
     def split(word: str) -> tuple[int, int]:
         w0, w1 = word + "0", word + "1"
-        n0 = dictionary.lookup(
-            w0, lambda: fpras(problem.reduce(x, w0), eps, fail_budget))
-        n1 = dictionary.lookup(
-            w1, lambda: fpras(problem.reduce(x, w1), eps, fail_budget))
+        n0 = dictionary.lookup(w0, lambda: child(w0))
+        n1 = dictionary.lookup(w1, lambda: child(w1))
         if n0 + n1 == 0:
             dictionary.midpoint_fallbacks += 1
             return 1, 1

@@ -5,7 +5,9 @@ The interval access maps a seed r in [0,1) to a solution and its interval
 by recursive quasi-pivot partitioning; the driver samples seeds from the
 not-yet-banned part of [0,1) and applies an exact rejection test so every
 emission is uniform over the remaining solutions. Both run on the
-self-reduction trie (`trie.py`), split by the counter's estimates.
+self-reduction trie (`trie.py`), split by the counter's estimates. The
+counter is a function of the instance, so it is called once per distinct
+residual instance of a trie (`trie.residual_counts`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Iterator
 
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
-from .trie import SelfReductionTrie, enumerate_trie
+from .trie import SelfReductionTrie, enumerate_trie, residual_counts
 
 
 class EmptyBranch(Exception):
@@ -54,14 +56,14 @@ def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x
     """Trie whose split returns the two child estimates, each taken at
     accuracy 1/(8*d0) with d0 the root depth, so each pivot divides its
     node in their ratio. The counter is deterministic, so every pivot is a
-    constant of the instance. Its `descend(r)` is the interval access: f(r)
-    and its interval."""
+    constant of the instance, and it is called once per distinct residual.
+    Its `descend(r)` is the interval access: f(r) and its interval."""
     d0 = problem.zeta(x)
     eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
+    child = residual_counts(problem, x, lambda residual: fptas(residual, eps))
 
     def split(word: str) -> tuple[int, int]:
-        n0 = fptas(problem.reduce(x, word + "0"), eps)
-        n1 = fptas(problem.reduce(x, word + "1"), eps)
+        n0, n1 = child(word + "0"), child(word + "1")
         if n0 + n1 == 0:
             raise EmptyBranch(f"both estimates 0 at prefix {word!r}")
         return n0, n1

@@ -24,7 +24,10 @@ class SelfReducibleProblem:
       membership(x, w) -> whether w is a solution of x
       base_check(x)    -> for zeta(x) == 0, whether Sol(x) = {""}
       size(x)          -> encoding size of x (shrinks under reduce)
-      instance_key(x)  -> stable hashable key, used by simulated oracles
+      instance_key(x)  -> stable hashable key that determines x: equal
+                          keys mean equal instances. The approximate tiers
+                          count each key once per trie, and the simulated
+                          oracles draw their noise and failures from it.
     """
 
     name = "abstract"

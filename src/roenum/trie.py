@@ -11,6 +11,11 @@ part of [0,1) and walking it to its solution is therefore one descent, and
 banning an emission adds its width along its path. A node whose whole
 interval is banned drops its children, so a session frees each subtree it
 has drained.
+
+Both approximate tiers take their child estimates through
+`residual_counts`, which counts each distinct residual instance once per
+trie: on all bitstrings every node at one depth has the same residual, and
+on a knapsack so do two prefixes with the same packed total.
 """
 
 from __future__ import annotations
@@ -19,10 +24,34 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator
 
+from .problem import SelfReducibleProblem
 from .record import EmissionRecord
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def residual_counts(problem: SelfReducibleProblem, x, count: Callable
+                    ) -> Callable[[str], int]:
+    """`child(word)`: count(problem.reduce(x, word)), with count called
+    once per distinct `problem.instance_key` of the residual.
+
+    An instance key determines its instance. A deterministic counter is a
+    function of the instance, so the memo changes no estimate; for a
+    randomized one, reusing an estimate only lowers the number of calls
+    the failure budget has to cover. The memo lives as long as the
+    closure, that is as long as the trie that splits through it."""
+    memo: dict = {}
+
+    def child(word: str) -> int:
+        residual = problem.reduce(x, word)
+        key = problem.instance_key(residual)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = count(residual)
+        return value
+
+    return child
 
 
 class NonTerminating(Exception):

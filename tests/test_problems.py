@@ -318,6 +318,44 @@ def test_integer_oracles_match_fraction_reference(exact, eps, delta_fail, h):
                 assert estimate == (distorted if failed else expected)
 
 
+counted_instances = st.one_of(
+    st.builds(lambda cap, sizes: (KS, KnapsackInstance(cap, tuple(sizes))),
+              st.integers(0, 60), st.lists(st.integers(0, 40), max_size=8)),
+    st.builds(lambda n: (AllBitstrings(), n), st.integers(0, 64)))
+
+
+@given(instance=counted_instances,
+       eps=st.one_of(st.integers(0, 3), fractions_0_to_2),
+       delta_fail=st.builds(lambda p, q: Fraction(p % q or 1, q),
+                            st.integers(1, 10**6), st.integers(2, 10**6)),
+       seed=st.integers(0, 1 << 64), nonce=st.integers(1, 10**6))
+@example(instance=(KS, KnapsackInstance(7, (2, 2, 3, 5))),
+         eps=Fraction(1, 56), delta_fail=Fraction(1, 20480), seed=0, nonce=3)
+def test_hash_input_is_the_repr_of_its_parts(instance, eps, delta_fail, seed,
+                                             nonce):
+    # the bytes the golden digests were hashed from; an int eps was always
+    # hashed as its Fraction
+    problem, x = instance
+    key = problem.instance_key(x)
+    parts = (key, Fraction(eps), seed)
+    fail = repr(("fail", key, Fraction(eps), delta_fail, seed, nonce)).encode()
+    for mode, tag in (("hash", "noise"), ("extreme", "edge")):
+        hashed = []
+
+        def record(data):
+            hashed.append(data)
+            return (1 << 64) - 1  # above delta_fail < 1: no failure
+
+        with mock.patch.object(problems, "_hash_unit", record):
+            sim = SimulatedOracles(problem, SimulatedOracleConfig(
+                noise_mode=mode, seed=seed, nonce=nonce))
+            sim.fptas(x, eps)
+            sim.fpras(x, eps, delta_fail)
+            sim.fptas(x, eps)  # the tail now comes from the cache
+        noise = repr((tag, *parts)).encode()
+        assert hashed == [noise, fail, noise, noise]
+
+
 def test_instance_file_roundtrip():
     inst = generate_knapsack(12, 7)
     text = format_instance(KS, inst)

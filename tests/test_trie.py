@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from roenum import fpras as fpras_module
 from roenum.fpras import (PrefixDictionary, axa_enumerate, fpras_trie,
                           guarded_accept, root_estimate)
 from roenum.fptas import aia_enumerate, bernoulli_less, fptas_trie
 from roenum.parallel import RangeAssignment, master_phase1, slave_session
 from roenum.problem import brute_force_solutions
-from roenum.problems import (Knapsack, SimulatedOracleConfig,
+from roenum.problems import (AllBitstrings, Knapsack, SimulatedOracleConfig,
                              SimulatedOracles, generate_knapsack)
 from roenum.record import EmissionRecord
 from roenum.trie import SelfReductionTrie, enumerate_trie
@@ -492,3 +493,142 @@ def test_guarded_emission_is_uniform_over_the_remaining_at_every_step(
     with_rejection, without = law(x, seed)
     assert with_rejection <= F(1, 1 << 100)
     assert without > F(1, 1 << 20)
+
+
+# ---------------------------------------------------------------------------
+# Each distinct residual counted once per trie: a session on the tiers'
+# tries emits what a trie splitting through uncached counter calls emits.
+
+ALLBITS = AllBitstrings()
+MEMO_CASES = {
+    "knapsack": (KNAP, generate_knapsack(10, seed=4, capacity_frac=0.5)),
+    "allbits": (ALLBITS, 8),
+}
+
+
+def memo_oracles(problem, x, noise, nonce=0):
+    # "forced": hash noise and one always-failing residual, "01"'s
+    forced = (frozenset([problem.instance_key(problem.reduce(x, "01"))])
+              if noise == "forced" else frozenset())
+    return SimulatedOracles(problem, SimulatedOracleConfig(
+        noise_mode="hash" if noise == "forced" else noise, seed=7,
+        nonce=nonce, forced_failures=forced))
+
+
+def uncached_fptas_trie(problem, fptas, x):
+    d0 = problem.zeta(x)
+    eps = F(1, 8 * max(d0, 1))
+
+    def split(word):
+        return (fptas(problem.reduce(x, word + "0"), eps),
+                fptas(problem.reduce(x, word + "1"), eps))
+
+    return SelfReductionTrie(d0, split)
+
+
+def uncached_fpras_trie(problem, fpras, x, delta, dictionary,
+                        span=(F(0), F(1))):
+    d0 = problem.zeta(x)
+    eps, budget = F(1, 8 * max(d0, 1)), F(delta, 1 << (d0 + 1))
+
+    def split(word):
+        n0, n1 = (dictionary.lookup(
+            w, lambda w=w: fpras(problem.reduce(x, w), eps, budget))
+            for w in (word + "0", word + "1"))
+        return (n0, n1) if n0 + n1 else (1, 1)
+
+    return SelfReductionTrie(d0, split, span)
+
+
+def assert_complete(problem, x, records):
+    assert sorted(r.solution for r in records) == \
+        sorted(brute_force_solutions(problem, x))
+    assert sum(r.width for r in records) == 1
+
+
+@pytest.mark.parametrize("noise", ["hash", "extreme"])
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_aia_session_matches_uncached_counts(case, noise):
+    problem, x = MEMO_CASES[case]
+    sim = memo_oracles(problem, x, noise)
+    records = list(aia_enumerate(problem, sim.fptas, x, random.Random(3)))
+    ref = memo_oracles(problem, x, noise)
+    phi = F(4, 9) / ref.fptas(x, F(1, 3))
+    expected = list(enumerate_trie(uncached_fptas_trie(problem, ref.fptas, x),
+                                   random.Random(3), phi, bernoulli_less))
+    assert records == expected
+    assert_complete(problem, x, records)
+    assert sim.calls["fptas"] < ref.calls["fptas"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_aia_counts_one_residual_per_depth_on_allbits(n):
+    # the root at eps 1/3, then one residual for each of the depths 1..n
+    sim = memo_oracles(ALLBITS, n, "hash")
+    records = list(aia_enumerate(ALLBITS, sim.fptas, n, random.Random(n)))
+    assert len(records) == 1 << n
+    assert sim.calls["fptas"] == n + 1
+
+
+@pytest.mark.parametrize("noise", ["hash", "extreme", "forced"])
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_axa_session_matches_uncached_counts(case, noise, monkeypatch):
+    problem, x = MEMO_CASES[case]
+    delta = F(1, 10)
+    dictionaries = []
+
+    class Recorded(PrefixDictionary):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            dictionaries.append(self)
+
+    monkeypatch.setattr(fpras_module, "PrefixDictionary", Recorded)
+    sim = memo_oracles(problem, x, noise, nonce=2)
+    records = list(axa_enumerate(problem, sim.fpras, x, delta,
+                                 random.Random(3)))
+    ref = memo_oracles(problem, x, noise, nonce=2)
+    ref_dict = PrefixDictionary()
+    phi = F(4, 9) / root_estimate(problem, ref.fpras, x, delta)
+    expected = list(enumerate_trie(
+        uncached_fpras_trie(problem, ref.fpras, x, delta, ref_dict),
+        random.Random(3), phi, guarded_accept))
+    assert records == expected
+    assert_complete(problem, x, records)
+    [d] = dictionaries
+    # the memo sits behind the dictionary, which records every prefix
+    assert d.misses == len(d.computed)
+    assert (d.entries, d.computed, d.hits) == \
+        (ref_dict.entries, ref_dict.computed, ref_dict.hits)
+    assert sim.calls["fpras"] < ref.calls["fpras"]
+    if noise == "forced":
+        assert sim.failures > 0
+
+
+@pytest.mark.parametrize("noise", ["hash", "extreme", "forced"])
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_slave_sessions_match_uncached_counts(case, noise):
+    problem, x = MEMO_CASES[case]
+    delta, m = F(1, 10), 3
+    master = memo_oracles(problem, x, noise)
+    assignments, _ = master_phase1(problem, master.fpras, x, delta, m)
+    ref_master = memo_oracles(problem, x, noise).fpras
+    trie = uncached_fpras_trie(problem, ref_master, x, delta,
+                               PrefixDictionary())
+    assert [a.low for a in assignments[1:]] == \
+        [trie.descend(F(i, m)).low for i in range(1, m)]
+    emitted, failures = [], master.failures
+    for a in assignments:
+        sim = memo_oracles(problem, x, noise, nonce=a.index)
+        records = list(slave_session(problem, sim.fpras, x, a,
+                                     random.Random(a.index))[0])
+        ref = memo_oracles(problem, x, noise, nonce=a.index)
+        expected = list(enumerate_trie(
+            uncached_fpras_trie(problem, ref.fpras, x, delta,
+                                PrefixDictionary(a.piece), (a.low, a.high)),
+            random.Random(a.index), a.phi_star, guarded_accept))
+        assert records == expected
+        emitted += records
+        failures += sim.failures
+    assert_complete(problem, x, emitted)
+    if noise == "forced":
+        assert failures > 0
