@@ -42,15 +42,22 @@ class SparsePermutation:
 def raccess(problem: SelfReducibleProblem, exact: Callable, x, i: int,
             d: int | None = None) -> str | None:
     """i-th solution of x in lexicographic order (1-based), or None if
-    i > |Sol(x)|.
-
-    Recursive rule: with n0 = exact(reduce(x, '0')), descend on bit 0 when
-    i <= n0, else on bit 1 with index i - n0.
-    """
+    i > |Sol(x)|."""
     if d is None:
         d = problem.zeta(x)
     if i < 1 or i > exact(x):
         return None
+    return _unrank(problem, exact, x, i, d)
+
+
+def _unrank(problem: SelfReducibleProblem, exact: Callable, x, i: int,
+            d: int) -> str:
+    """The i-th solution of x for an i in [1, |Sol(x)|], d = zeta(x).
+
+    Recursive rule: with n0 = exact(reduce(x, '0')), descend on bit 0 when
+    i <= n0, else on bit 1 with index i - n0. One count per bit; the
+    caller vouches for the range, so the root is not counted again.
+    """
     bits = []
     while d > 0:
         sub0 = problem.reduce(x, "0")
@@ -73,6 +80,4 @@ def ara_enumerate(problem: SelfReducibleProblem, exact: Callable, x,
     total = exact(x)
     d = problem.zeta(x)
     for i in SparsePermutation(total, rng):
-        word = raccess(problem, exact, x, i, d)
-        assert word is not None
-        yield word
+        yield _unrank(problem, exact, x, i, d)

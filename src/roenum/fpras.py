@@ -1,13 +1,17 @@
 """Atlantic City random-order enumeration on a randomized counter.
 
-Same interval machinery as the FPTAS tier, with two additions: a prefix
-dictionary memoizes every estimate so the induced partition of [0,1) is
-consistent across all calls in a session, and the rejection guard skips
-the test whenever the acceptance ratio falls outside (1/4, 1) -- evidence
+Same trie machinery as the FPTAS tier, with a rejection guard: the test is
+skipped whenever the acceptance ratio falls outside (1/4, 1) -- evidence
 of a failed counter call -- so completeness and the attempt bound hold
-unconditionally. Behind the dictionary, a trie calls the counter once per
-distinct residual instance (`trie.residual_counts`); an estimate reused
-for an equal residual is one fewer call the failure budget must cover.
+unconditionally. The paper keeps a prefix dictionary so that every drawn
+estimate, and with it the partition of [0,1), stays fixed for the rest of
+the session. A serial session needs none: the trie expands each node once
+and keeps its pivot, so each estimate is drawn once and never redrawn.
+The dictionary belongs to the master/slave pipeline (`parallel.py`),
+whose tries share the master's boundary estimates through it. Under
+either, a trie calls the counter once per distinct residual instance
+(`trie.residual_counts`); an estimate reused for an equal residual is one
+fewer call the failure budget must cover.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .trie import SelfReductionTrie, enumerate_trie, residual_counts
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-QUARTER = Fraction(1, 4)
 
 
 class PrefixDictionary:
@@ -59,18 +62,21 @@ class PrefixDictionary:
 
 
 def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
-               delta: Fraction, dictionary: PrefixDictionary,
+               delta: Fraction, dictionary: PrefixDictionary | None = None,
                span: tuple[Fraction, Fraction] = (ZERO, ONE)
                ) -> SelfReductionTrie:
-    """Trie whose split returns the two child estimates, each a memoized
-    randomized estimate.
+    """Trie whose split returns the two child estimates, each a randomized
+    estimate at accuracy 1/(8*d0) and per-call failure budget
+    2**-(d0+1) * delta; a residual instance the trie has already counted
+    reuses its estimate.
 
-    On a dictionary miss the estimate is computed at accuracy 1/(8*d0) and
-    per-call failure budget 2**-(d0+1) * delta, then frozen, so every pivot
-    is a constant of the session; a miss whose residual instance the trie
-    has already counted reuses that estimate. When both estimates are 0
-    the split returns (1, 1), which puts the pivot at the node's midpoint
-    and keeps the tiling intact. Tries built on one dictionary share every pivot.
+    The trie expands each node once and keeps its pivot, so each estimate
+    is drawn once and the partition is fixed for the life of the trie.
+    A pipeline passes a `dictionary` so that tries in different places
+    agree on their shared prefixes: the split asks it first, and it keeps
+    every estimate the trie draws. When both estimates are 0 the split
+    returns (1, 1), which puts the pivot at the node's midpoint and keeps
+    the tiling intact.
     """
     d0 = problem.zeta(x)
     eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
@@ -78,14 +84,18 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
     child = residual_counts(
         problem, x, lambda residual: fpras(residual, eps, fail_budget))
 
+    def count(word: str) -> int:
+        if dictionary is None:
+            return child(word)
+        return dictionary.lookup(word, lambda: child(word))
+
     def split(word: str) -> tuple[int, int]:
-        w0, w1 = word + "0", word + "1"
-        n0 = dictionary.lookup(w0, lambda: child(w0))
-        n1 = dictionary.lookup(w1, lambda: child(w1))
-        if n0 + n1 == 0:
+        n0, n1 = count(word + "0"), count(word + "1")
+        if n0 + n1:
+            return n0, n1
+        if dictionary is not None:
             dictionary.midpoint_fallbacks += 1
-            return 1, 1
-        return n0, n1
+        return 1, 1
 
     return SelfReductionTrie(d0, split, span)
 
@@ -94,7 +104,8 @@ def guarded_accept(rng: random.Random, ratio: Fraction) -> bool:
     """Rejection test behind the (1/4, 1) guard: a ratio outside the
     window means some counter call failed, and the candidate is emitted
     without the test."""
-    return not (QUARTER < ratio < ONE) or bernoulli_less(rng, ratio)
+    a, b = ratio.numerator, ratio.denominator  # 1/4 < a/b < 1
+    return not (b < 4 * a and a < b) or bernoulli_less(rng, ratio)
 
 
 def root_estimate(problem: SelfReducibleProblem, fpras: Callable, x,
@@ -118,6 +129,5 @@ def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
     estimate = root_estimate(problem, fpras, x, delta)
     if estimate == 0:
         return
-    trie = fpras_trie(problem, fpras, x, delta, PrefixDictionary())
-    yield from enumerate_trie(trie, rng, Fraction(4, 9) / estimate,
-                              guarded_accept)
+    yield from enumerate_trie(fpras_trie(problem, fpras, x, delta), rng,
+                              Fraction(4, 9) / estimate, guarded_accept)

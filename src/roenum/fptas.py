@@ -30,23 +30,27 @@ class EmptyBranch(Exception):
 def bernoulli_less(rng: random.Random, threshold: Fraction) -> bool:
     """Exact Bernoulli(threshold) draw: compare a lazily generated uniform
     p in [0,1) against threshold bit by bit. No precision parameter, zero
-    bias; terminates after 2 bits in expectation."""
-    if threshold <= 0:
+    bias; terminates after 2 bits in expectation.
+
+    The binary expansion of threshold = a/b is generated on the integers:
+    doubling a/b and taking off its integer part is a = 2a, and a = a - b
+    when a >= b."""
+    a, b = threshold.numerator, threshold.denominator
+    if a <= 0:
         return False
-    if threshold >= 1:
+    if a >= b:
         return True
-    t = threshold
     while True:
-        t *= 2
-        if t >= 1:
+        a <<= 1
+        if a >= b:
             t_bit = 1
-            t -= 1
+            a -= b
         else:
             t_bit = 0
         p_bit = rng.getrandbits(1)
         if p_bit != t_bit:
             return p_bit < t_bit
-        if t == 0:
+        if a == 0:
             # threshold's remaining expansion is all zeros: p >= threshold
             return False
 

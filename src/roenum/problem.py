@@ -27,7 +27,8 @@ class SelfReducibleProblem:
       instance_key(x)  -> stable hashable key that determines x: equal
                           keys mean equal instances. The approximate tiers
                           count each key once per trie, and the simulated
-                          oracles draw their noise and failures from it.
+                          oracles draw their noise and failures from it;
+                          `verify_self_reducibility` checks the contract.
     """
 
     name = "abstract"
@@ -80,11 +81,14 @@ def verify_self_reducibility(problem: SelfReducibleProblem, x,
       - size(reduce(x, w)) <= size(x)
       - Sol(reduce(x, w)) == {w' : w + w' in Sol(x)}
       - base_check agrees with membership on fully reduced instances
+      - residuals with equal instance_key have equal solution sets, the
+        key contract `trie.residual_counts` relies on
 
     Raises BudgetExceeded once total membership tests pass max_count.
     """
     d = problem.zeta(x)
     budget = [max_count]
+    by_key: dict = {}  # instance_key -> solutions of the first such residual
 
     def spend(n: int):
         budget[0] -= n
@@ -108,6 +112,8 @@ def verify_self_reducibility(problem: SelfReducibleProblem, x,
             sub_sol = brute_force_solutions(problem, sub)
             expected = {v[k:] for v in sol if v.startswith(w)}
             if sub_sol != expected:
+                return False
+            if by_key.setdefault(problem.instance_key(sub), sub_sol) != sub_sol:
                 return False
             if problem.zeta(sub) == 0 and problem.base_check(sub) != ("" in sub_sol):
                 return False

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exact import raccess
+from .exact import _unrank
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
 
@@ -29,7 +29,7 @@ def swor_enumerate(problem: SelfReducibleProblem, exact: Callable, x,
             attempts += 1
             tick += 1
             i = rng.randint(1, total)
-            word = raccess(problem, exact, x, i, d)
+            word = _unrank(problem, exact, x, i, d)
             if word not in seen:
                 break
         seen.add(word)

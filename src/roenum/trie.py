@@ -36,11 +36,14 @@ def residual_counts(problem: SelfReducibleProblem, x, count: Callable
     """`child(word)`: count(problem.reduce(x, word)), with count called
     once per distinct `problem.instance_key` of the residual.
 
-    An instance key determines its instance. A deterministic counter is a
-    function of the instance, so the memo changes no estimate; for a
-    randomized one, reusing an estimate only lowers the number of calls
-    the failure budget has to cover. The memo lives as long as the
-    closure, that is as long as the trie that splits through it."""
+    An instance key determines its instance. `verify_self_reducibility`
+    checks this contract over every prefix of an instance: it fails when
+    two residuals with equal keys have different solution sets. A
+    deterministic counter is a function of the instance, so the memo
+    changes no estimate; for a randomized one, reusing an estimate only
+    lowers the number of calls the failure budget has to cover. The memo
+    lives as long as the closure, that is as long as the trie that splits
+    through it."""
     memo: dict = {}
 
     def child(word: str) -> int:

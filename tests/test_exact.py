@@ -91,7 +91,7 @@ def test_per_emission_oracle_budget():
     d = KS.zeta(inst)
     before = sim.calls["exact"]
     emitted = list(ara_enumerate(KS, sim.exact, inst, random.Random(2)))
-    per_emission = (sim.calls["exact"] - before) / len(emitted)
-    # one range check plus at most d descent counts per raccess
-    assert per_emission <= d + 2
+    # the root once for the total, then one count per bit: no emission
+    # recounts the root for a range check
+    assert sim.calls["exact"] - before == 1 + d * len(emitted)
     assert len(emitted) == total

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from roenum.fpras import guarded_accept
 from roenum.fptas import (EmptyBranch, aia_enumerate, bernoulli_less,
                           fptas_trie)
 from roenum.problem import brute_force_solutions
@@ -126,6 +128,54 @@ def test_bernoulli_less_exact_law_on_every_bit_string(length):
     for p in range(2 ** length + 1):
         t = F(p, 2 ** length)
         assert sum(bernoulli_less(ScriptedBits(s), t) for s in scripts) == p
+
+
+def fraction_bernoulli_less(rng, threshold):
+    """The reference: the bit loop of `bernoulli_less` on a `Fraction`."""
+    if threshold <= 0:
+        return False
+    if threshold >= 1:
+        return True
+    t = threshold
+    while True:
+        t *= 2
+        if t >= 1:
+            t_bit = 1
+            t -= 1
+        else:
+            t_bit = 0
+        p_bit = rng.getrandbits(1)
+        if p_bit != t_bit:
+            return p_bit < t_bit
+        if t == 0:
+            return False
+
+
+def fraction_guarded_accept(rng, ratio):
+    """The reference: the (1/4, 1) guard compared as `Fraction`s."""
+    return not (F(1, 4) < ratio < 1) or fraction_bernoulli_less(rng, ratio)
+
+
+# thresholds around [0, 1] and the guard's window, with denominators up to
+# those of a ratio phi*/width on a deep trie
+THRESHOLDS = st.integers(1, 1 << 130).flatmap(
+    lambda b: st.builds(F, st.integers(-b, 2 * b), st.just(b)))
+
+
+@given(THRESHOLDS, st.integers(0, 2 ** 32))
+@example(F(0), 0)
+@example(F(1), 0)
+@example(F(1, 4), 1)
+@example(F(3, 8), 2)
+@example(F(1, 4) + F(1, 1 << 128), 3)
+@example(F(1) - F(1, 1 << 128), 4)
+def test_integer_acceptance_matches_the_fraction_loop(threshold, seed):
+    # same answer and the same random bits read, for both tests
+    for test, reference in ((bernoulli_less, fraction_bernoulli_less),
+                            (guarded_accept, fraction_guarded_accept)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert test(rng, threshold) == reference(ref, threshold)
+        assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("n", [0, 1, 4])

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from roenum.fptas import aia_enumerate
 from roenum.problem import (BudgetExceeded, brute_force_solutions,
                             verify_self_reducibility)
-from roenum.problems import AllBitstrings, Knapsack, KnapsackInstance
+from roenum.problems import (AllBitstrings, Knapsack, KnapsackInstance,
+                             generate_knapsack)
 
 
 AB = AllBitstrings()
@@ -53,6 +55,27 @@ def test_verify_knapsack_with_negative_capacity(inst):
 
 def test_verify_rejects_broken_reduction():
     assert not verify_self_reducibility(BrokenReduction(), 3)
+
+
+class LossyKey(Knapsack):
+    """Breaks the key contract: the key drops the capacity, so residuals
+    with one sizes suffix and different capacities share a key."""
+
+    def instance_key(self, x):
+        return ("ks", x.sizes)
+
+
+def test_verify_rejects_a_key_that_drops_the_capacity():
+    lossy, x = LossyKey(), generate_knapsack(8, seed=5, capacity_frac=0.5)
+    assert verify_self_reducibility(KS, x)
+    assert not verify_self_reducibility(lossy, x)
+    # what the check guards: the tiers count each key once, so prefixes
+    # 0 and 1 get one count and AIA emits every word, solution or not
+    sol = brute_force_solutions(KS, x)
+    words = {r.solution for r in aia_enumerate(
+        lossy, lambda inst, eps: lossy.exact_count(inst), x,
+        random.Random(0))}
+    assert (len(sol), len(words), len(words - sol)) == (128, 256, 128)
 
 
 def test_verify_budget():

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 from roenum.problem import brute_force_solutions
-from roenum.problems import AllBitstrings, Knapsack, generate_knapsack
+from roenum.problems import (AllBitstrings, Knapsack, SimulatedOracles,
+                             generate_knapsack)
 from roenum.swor import swor_enumerate
 
 ALLBITS = AllBitstrings()
@@ -15,6 +16,14 @@ def test_swor_complete_no_repeats():
     words = [r.solution for r in records]
     assert len(words) == len(set(words))
     assert set(words) == set(brute_force_solutions(KNAP, x))
+
+
+def test_swor_counts_one_residual_per_bit():
+    # the root once for the total, then d counts per candidate
+    x = generate_knapsack(8, seed=0)
+    sim = SimulatedOracles(KNAP)
+    records = list(swor_enumerate(KNAP, sim.exact, x, random.Random(1)))
+    assert sim.calls["exact"] == 1 + 8 * sum(r.attempts for r in records)
 
 
 def test_swor_empty_instance():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from roenum import fpras as fpras_module
 from roenum.fpras import (PrefixDictionary, axa_enumerate, fpras_trie,
                           guarded_accept, root_estimate)
 from roenum.fptas import aia_enumerate, bernoulli_less, fptas_trie
@@ -576,30 +575,75 @@ def test_axa_session_matches_uncached_counts(case, noise, monkeypatch):
     problem, x = MEMO_CASES[case]
     delta = F(1, 10)
     dictionaries = []
+    init = PrefixDictionary.__init__
 
-    class Recorded(PrefixDictionary):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            dictionaries.append(self)
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        dictionaries.append(self)
 
-    monkeypatch.setattr(fpras_module, "PrefixDictionary", Recorded)
+    monkeypatch.setattr(PrefixDictionary, "__init__", recorded)
     sim = memo_oracles(problem, x, noise, nonce=2)
     records = list(axa_enumerate(problem, sim.fpras, x, delta,
                                  random.Random(3)))
+    # a serial session builds no prefix dictionary: its trie keeps each
+    # pivot, which fixes the partition
+    assert dictionaries == []
     ref = memo_oracles(problem, x, noise, nonce=2)
     ref_dict = PrefixDictionary()
+    assert dictionaries == [ref_dict]  # the patch sees a construction
     phi = F(4, 9) / root_estimate(problem, ref.fpras, x, delta)
     expected = list(enumerate_trie(
         uncached_fpras_trie(problem, ref.fpras, x, delta, ref_dict),
         random.Random(3), phi, guarded_accept))
     assert records == expected
     assert_complete(problem, x, records)
-    [d] = dictionaries
-    # the memo sits behind the dictionary, which records every prefix
-    assert d.misses == len(d.computed)
-    assert (d.entries, d.computed, d.hits) == \
-        (ref_dict.entries, ref_dict.computed, ref_dict.hits)
     assert sim.calls["fpras"] < ref.calls["fpras"]
+    if noise == "forced":
+        assert sim.failures > 0
+
+
+def dictionary_case_counter(problem, x, noise):
+    """(oracles, fpras) for one dictionary case. "zero": hash noise, and
+    every residual two levels below the root estimates 0, so each node
+    at depth 1 takes the midpoint fallback."""
+    sim = memo_oracles(problem, x, "hash" if noise == "zero" else noise,
+                       nonce=2)
+    if noise != "zero":
+        return sim, sim.fpras
+    depth = problem.zeta(x) - 2
+
+    def fpras(residual, eps, budget):
+        if problem.zeta(residual) == depth:
+            return 0
+        return sim.fpras(residual, eps, budget)
+
+    return sim, fpras
+
+
+@pytest.mark.parametrize("noise", ["hash", "extreme", "forced", "zero"])
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_fpras_trie_with_and_without_dictionary_agree(case, noise):
+    # the trie fixes each pivot once, so a dictionary in front of the
+    # split changes no interval and no record
+    problem, x = MEMO_CASES[case]
+    delta = F(1, 10)
+    _, bare = dictionary_case_counter(problem, x, noise)
+    _, kept = dictionary_case_counter(problem, x, noise)
+    assert leaf_intervals(fpras_trie(problem, bare, x, delta)) == \
+        leaf_intervals(fpras_trie(problem, kept, x, delta, PrefixDictionary()))
+
+    sim, bare = dictionary_case_counter(problem, x, noise)
+    records = list(axa_enumerate(problem, bare, x, delta, random.Random(3)))
+    _, kept = dictionary_case_counter(problem, x, noise)
+    dictionary = PrefixDictionary()
+    phi = F(4, 9) / root_estimate(problem, kept, x, delta)
+    expected = list(enumerate_trie(
+        fpras_trie(problem, kept, x, delta, dictionary), random.Random(3),
+        phi, guarded_accept))
+    assert records == expected
+    assert sum(r.width for r in records) == 1
+    assert dictionary.misses == len(dictionary.computed) > 0
+    assert (dictionary.midpoint_fallbacks > 0) == (noise == "zero")
     if noise == "forced":
         assert sim.failures > 0
 
