@@ -39,15 +39,13 @@ class SparsePermutation:
         return value
 
 
-def raccess(problem: SelfReducibleProblem, exact: Callable, x, i: int,
-            d: int | None = None) -> str | None:
+def raccess(problem: SelfReducibleProblem, exact: Callable, x, i: int
+            ) -> str | None:
     """i-th solution of x in lexicographic order (1-based), or None if
     i > |Sol(x)|."""
-    if d is None:
-        d = problem.zeta(x)
     if i < 1 or i > exact(x):
         return None
-    return _unrank(problem, exact, x, i, d)
+    return _unrank(problem, exact, x, i, problem.zeta(x))
 
 
 def _unrank(problem: SelfReducibleProblem, exact: Callable, x, i: int,

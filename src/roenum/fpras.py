@@ -3,15 +3,10 @@
 Same trie machinery as the FPTAS tier, with a rejection guard: the test is
 skipped whenever the acceptance ratio falls outside (1/4, 1) -- evidence
 of a failed counter call -- so completeness and the attempt bound hold
-unconditionally. The paper keeps a prefix dictionary so that every drawn
-estimate, and with it the partition of [0,1), stays fixed for the rest of
-the session. A serial session needs none: the trie expands each node once
-and keeps its pivot, so each estimate is drawn once and never redrawn.
-The dictionary belongs to the master/slave pipeline (`parallel.py`),
-whose tries share the master's boundary estimates through it. Under
-either, a trie calls the counter once per distinct residual instance
-(`trie.residual_counts`); an estimate reused for an equal residual is one
-fewer call the failure budget must cover.
+unconditionally. The trie expands each node once and keeps its pivot, so
+each estimate is drawn once and the partition of [0,1) stays fixed for
+the session: a serial session needs none of the paper's prefix
+dictionary, which belongs to the master/slave pipeline (`parallel.py`).
 """
 
 from __future__ import annotations
@@ -23,10 +18,8 @@ from typing import Callable, Iterator
 from .fptas import bernoulli_less
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
-from .trie import SelfReductionTrie, enumerate_trie, residual_counts
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .trie import (ONE, ROOT_EPS, ZERO, SelfReductionTrie,
+                   correction_factor, enumerate_trie, residual_counts)
 
 
 class PrefixDictionary:
@@ -61,14 +54,21 @@ class PrefixDictionary:
         return {p: self.entries[p] for p in prefixes if p in self.entries}
 
 
+def call_budget(problem: SelfReducibleProblem, x, delta: Fraction
+                ) -> Fraction:
+    """Failure budget delta / 2**(d0+1), d0 = zeta(x), of each counter
+    call: a session makes at most 2**(d0+1), the root's included."""
+    return Fraction(delta) / (2 << problem.zeta(x))
+
+
 def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
                delta: Fraction, dictionary: PrefixDictionary | None = None,
                span: tuple[Fraction, Fraction] = (ZERO, ONE)
                ) -> SelfReductionTrie:
     """Trie whose split returns the two child estimates, each a randomized
-    estimate at accuracy 1/(8*d0) and per-call failure budget
-    2**-(d0+1) * delta; a residual instance the trie has already counted
-    reuses its estimate.
+    estimate at the split accuracy (`trie.residual_counts`) and the
+    per-call failure budget (`call_budget`); a residual instance the trie
+    has already counted reuses its estimate.
 
     The trie expands each node once and keeps its pivot, so each estimate
     is drawn once and the partition is fixed for the life of the trie.
@@ -78,16 +78,11 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
     returns (1, 1), which puts the pivot at the node's midpoint and keeps
     the tiling intact.
     """
-    d0 = problem.zeta(x)
-    eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
-    fail_budget = Fraction(delta, 1 << (d0 + 1))
+    budget = call_budget(problem, x, delta)
     child = residual_counts(
-        problem, x, lambda residual: fpras(residual, eps, fail_budget))
-
-    def count(word: str) -> int:
-        if dictionary is None:
-            return child(word)
-        return dictionary.lookup(word, lambda: child(word))
+        problem, x, lambda residual, eps: fpras(residual, eps, budget))
+    count = child if dictionary is None else (
+        lambda word: dictionary.lookup(word, lambda: child(word)))
 
     def split(word: str) -> tuple[int, int]:
         n0, n1 = count(word + "0"), count(word + "1")
@@ -97,23 +92,21 @@ def fpras_trie(problem: SelfReducibleProblem, fpras: Callable, x,
             dictionary.midpoint_fallbacks += 1
         return 1, 1
 
-    return SelfReductionTrie(d0, split, span)
+    return SelfReductionTrie(problem.zeta(x), split, span)
 
 
-def guarded_accept(rng: random.Random, ratio: Fraction) -> bool:
-    """Rejection test behind the (1/4, 1) guard: a ratio outside the
-    window means some counter call failed, and the candidate is emitted
-    without the test."""
-    a, b = ratio.numerator, ratio.denominator  # 1/4 < a/b < 1
-    return not (b < 4 * a and a < b) or bernoulli_less(rng, ratio)
+def guarded_accept(rng: random.Random, a: int, b: int) -> bool:
+    """Rejection test of the ratio a/b, b > 0, behind the (1/4, 1) guard:
+    a ratio outside the window means some counter call failed, and the
+    candidate is emitted without the test."""
+    return not (b < 4 * a and a < b) or bernoulli_less(rng, a, b)
 
 
 def root_estimate(problem: SelfReducibleProblem, fpras: Callable, x,
                   delta: Fraction) -> int:
-    """Root count estimate at the same per-call failure budget the
-    recursion uses (the 2**(d+1) total-call budget includes the root)."""
-    d = problem.zeta(x)
-    return fpras(x, Fraction(1, 3), Fraction(delta, 1 << (d + 1)))
+    """Root count estimate at accuracy 1/3 and the per-call failure
+    budget the recursion uses."""
+    return fpras(x, ROOT_EPS, call_budget(problem, x, delta))
 
 
 def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
@@ -125,9 +118,8 @@ def axa_enumerate(problem: SelfReducibleProblem, fpras: Callable, x,
     estimate is accurate and the run is a Las Vegas uniform random-order
     enumeration.
     """
-    delta = Fraction(delta)
-    estimate = root_estimate(problem, fpras, x, delta)
-    if estimate == 0:
+    root = root_estimate(problem, fpras, x, delta)
+    if root == 0:
         return
     yield from enumerate_trie(fpras_trie(problem, fpras, x, delta), rng,
-                              Fraction(4, 9) / estimate, guarded_accept)
+                              correction_factor(root), guarded_accept)

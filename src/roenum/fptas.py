@@ -13,12 +13,12 @@ residual instance of a trie (`trie.residual_counts`).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
-from .trie import SelfReductionTrie, enumerate_trie, residual_counts
+from .trie import (ROOT_EPS, SelfReductionTrie, correction_factor,
+                   enumerate_trie, residual_counts)
 
 
 class EmptyBranch(Exception):
@@ -27,15 +27,15 @@ class EmptyBranch(Exception):
     nonempty solution set to 0)."""
 
 
-def bernoulli_less(rng: random.Random, threshold: Fraction) -> bool:
-    """Exact Bernoulli(threshold) draw: compare a lazily generated uniform
-    p in [0,1) against threshold bit by bit. No precision parameter, zero
-    bias; terminates after 2 bits in expectation.
+def bernoulli_less(rng: random.Random, a: int, b: int) -> bool:
+    """Exact Bernoulli(a/b) draw for b > 0: compare a lazily generated
+    uniform p in [0,1) against the threshold a/b bit by bit. No precision
+    parameter, zero bias; terminates after 2 bits in expectation.
 
-    The binary expansion of threshold = a/b is generated on the integers:
-    doubling a/b and taking off its integer part is a = 2a, and a = a - b
-    when a >= b."""
-    a, b = threshold.numerator, threshold.denominator
+    The binary expansion of a/b is generated on the integers: doubling a/b
+    and taking off its integer part is a = 2a, and a = a - b when a >= b.
+    The pair need not be reduced: k*a/(k*b) gives the same decision from
+    the same random bits."""
     if a <= 0:
         return False
     if a >= b:
@@ -57,14 +57,12 @@ def bernoulli_less(rng: random.Random, threshold: Fraction) -> bool:
 
 def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x
                ) -> SelfReductionTrie:
-    """Trie whose split returns the two child estimates, each taken at
-    accuracy 1/(8*d0) with d0 the root depth, so each pivot divides its
-    node in their ratio. The counter is deterministic, so every pivot is a
+    """Trie whose split returns the two child estimates at the split
+    accuracy (`trie.residual_counts`), so each pivot divides its node in
+    their ratio. The counter is deterministic, so every pivot is a
     constant of the instance, and it is called once per distinct residual.
     Its `descend(r)` is the interval access: f(r) and its interval."""
-    d0 = problem.zeta(x)
-    eps = Fraction(1, 8 * max(d0, 1))  # at d0 = 0 no split runs
-    child = residual_counts(problem, x, lambda residual: fptas(residual, eps))
+    child = residual_counts(problem, x, fptas)
 
     def split(word: str) -> tuple[int, int]:
         n0, n1 = child(word + "0"), child(word + "1")
@@ -72,7 +70,7 @@ def fptas_trie(problem: SelfReducibleProblem, fptas: Callable, x
             raise EmptyBranch(f"both estimates 0 at prefix {word!r}")
         return n0, n1
 
-    return SelfReductionTrie(d0, split)
+    return SelfReductionTrie(problem.zeta(x), split)
 
 
 def aia_enumerate(problem: SelfReducibleProblem, fptas: Callable, x,
@@ -84,8 +82,8 @@ def aia_enumerate(problem: SelfReducibleProblem, fptas: Callable, x,
     each candidate is accepted with probability phi* / width, making the
     per-solution acceptance probability identical despite unequal widths.
     """
-    root_estimate = fptas(x, Fraction(1, 3))
-    if root_estimate == 0:
+    root = fptas(x, ROOT_EPS)
+    if root == 0:
         return  # Sol(x) is empty: a 1/3-accurate counter returns 0 only then
     yield from enumerate_trie(fptas_trie(problem, fptas, x), rng,
-                              Fraction(4, 9) / root_estimate, bernoulli_less)
+                              correction_factor(root), bernoulli_less)

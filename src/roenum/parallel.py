@@ -28,10 +28,7 @@ from .fpras import PrefixDictionary, fpras_trie, guarded_accept, root_estimate
 from .problem import SelfReducibleProblem
 from .record import EmissionRecord
 from .swor import swor_enumerate
-from .trie import enumerate_trie
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .trie import ONE, ZERO, correction_factor, enumerate_trie
 
 
 class DegeneratePartition(Exception):
@@ -86,10 +83,10 @@ def master_phase1(problem: SelfReducibleProblem, fpras: Callable, x,
         boundary_words.append(hit.solution)
     bounds.append(ONE)
 
-    estimate = root_estimate(problem, fpras, x, delta)
-    if estimate == 0:
+    root = root_estimate(problem, fpras, x, delta)
+    if root == 0:
         raise DegeneratePartition("root estimate is 0: empty solution set")
-    phi_star = Fraction(4, 9) / estimate
+    phi_star = correction_factor(root)
 
     assignments = []
     for i in range(1, m + 1):
@@ -193,9 +190,7 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
                  q_override: int | None = None,
                  max_outputs: int | None = None) -> ParallelResult:
     """Full two-phase run under the virtual clock."""
-    delta = Fraction(delta)
     alpha = Fraction(alpha)
-    delta_star = Fraction(delta_star)
     master_rng = random.Random(seed)
 
     assignments, master_dict = master_phase1(

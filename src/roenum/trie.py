@@ -12,10 +12,13 @@ banning an emission adds its width along its path. A node whose whole
 interval is banned drops its children, so a session frees each subtree it
 has drained.
 
-Both approximate tiers take their child estimates through
-`residual_counts`, which counts each distinct residual instance once per
-trie: on all bitstrings every node at one depth has the same residual, and
-on a knapsack so do two prefixes with the same packed total.
+Both approximate tiers take their child estimates at accuracy 1/(8*d0)
+through `residual_counts`, which counts each distinct residual instance
+once per trie: on all bitstrings every node at one depth has the same
+residual, and on a knapsack so do two prefixes with the same packed total.
+Their root estimate is taken at `ROOT_EPS` = 1/3, and `enumerate_trie`
+accepts at phi*/width, phi* = `correction_factor(root)`, handing the
+tier's test that ratio as an integer pair.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ ONE = Fraction(1)
 
 def residual_counts(problem: SelfReducibleProblem, x, count: Callable
                     ) -> Callable[[str], int]:
-    """`child(word)`: count(problem.reduce(x, word)), with count called
-    once per distinct `problem.instance_key` of the residual.
+    """`child(word)`: count(problem.reduce(x, word), eps) at the split
+    accuracy eps = 1/(8*d0), d0 = zeta(x), with count called once per
+    distinct `problem.instance_key` of the residual.
 
     An instance key determines its instance. `verify_self_reducibility`
     checks this contract over every prefix of an instance: it fails when
@@ -45,13 +49,14 @@ def residual_counts(problem: SelfReducibleProblem, x, count: Callable
     lives as long as the closure, that is as long as the trie that splits
     through it."""
     memo: dict = {}
+    eps = Fraction(1, 8 * max(problem.zeta(x), 1))  # at d0 = 0 no split runs
 
     def child(word: str) -> int:
         residual = problem.reduce(x, word)
         key = problem.instance_key(residual)
         value = memo.get(key)
         if value is None:
-            value = memo[key] = count(residual)
+            value = memo[key] = count(residual, eps)
         return value
 
     return child
@@ -159,19 +164,28 @@ class SelfReductionTrie:
             node.left = node.right = None
 
 
+ROOT_EPS = Fraction(1, 3)  # accuracy of the root estimate B(x, 1/3)
+
+
+def correction_factor(root: int) -> Fraction:
+    """phi* = (4/9) / B(x, 1/3), B(x, 1/3) = root > 0."""
+    return Fraction(4, 9) / root
+
+
 def enumerate_trie(trie: SelfReductionTrie, rng: random.Random,
                    phi_star: Fraction,
-                   accept: Callable[[random.Random, Fraction], bool]
+                   accept: Callable[[random.Random, int, int], bool]
                    ) -> Iterator[EmissionRecord]:
     """Emit every unbanned solution of the trie once, banning each.
 
     An attempt draws y uniformly from the available mass (d + 128 random
-    bits), descends to its solution and keeps it when
-    accept(rng, phi_star / width) holds.
+    bits), descends to its solution and keeps it when accept(rng, a, b)
+    holds for the unreduced pair a/b = phi_star / width.
     """
     d = max(trie.depth, 1)
     bits = d + 128
     cap = 64 * d
+    num, den = phi_star.numerator, phi_star.denominator
     tick = 0  # attempts made in the session so far
     while trie.available > 0:
         attempts = 0
@@ -182,7 +196,8 @@ def enumerate_trie(trie: SelfReductionTrie, rng: random.Random,
             tick += 1
             u = Fraction(rng.getrandbits(bits), 1 << bits)
             record = trie.descend(u * trie.available)
-            if accept(rng, phi_star / record.width):
+            width = record.width
+            if accept(rng, num * width.denominator, den * width.numerator):
                 break
         trie.ban(record)
         record.attempts, record.tick = attempts, tick

@@ -40,7 +40,7 @@ def test_dictionary_preloaded_tracked_separately():
     assert d.piece(["0", "01", "ganz"]) == {"0": 3, "01": 2}
 
 
-def test_xaccess_memoizes_every_estimate():
+def test_fpras_trie_dictionary_keeps_every_estimate():
     x = generate_knapsack(8, seed=1)
     oracles = make_oracles(KNAP, seed=1)
     d = PrefixDictionary()
@@ -58,7 +58,7 @@ def test_xaccess_memoizes_every_estimate():
         (hit2.solution, hit2.low, hit2.high)
 
 
-def test_xaccess_delta_zero_matches_iaccess():
+def test_fpras_trie_delta_zero_matches_fptas_trie():
     # with a zero failure budget the randomized counter degenerates to the
     # deterministic one, so both accesses induce the same partition
     x = generate_knapsack(9, seed=3)
@@ -73,7 +73,7 @@ def test_xaccess_delta_zero_matches_iaccess():
         assert (a.solution, a.low, a.high) == (b.solution, b.low, b.high)
 
 
-def test_xaccess_midpoint_fallback_keeps_tiling():
+def test_fpras_trie_midpoint_fallback_keeps_tiling():
     def zero_counter(x, eps, delta_fail):
         return 0
 

@@ -28,20 +28,20 @@ def noisy_counter(problem, seed=0):
     return SimulatedOracles(problem, cfg).fptas
 
 
-def test_iaccess_allbits_example():
+def test_fptas_trie_allbits_example():
     hit = fptas_trie(ALLBITS, exact_counter(ALLBITS), 2).descend(F(5, 8))
     assert hit.solution == "10"
     assert (hit.low, hit.high) == (F(1, 2), F(3, 4))
 
 
-def test_iaccess_knapsack_example():
+def test_fptas_trie_knapsack_example():
     x = KnapsackInstance(3, (1, 2, 3))
     hit = fptas_trie(KNAP, exact_counter(KNAP), x).descend(F(0))
     assert hit.solution == "000"
     assert (hit.low, hit.high) == (F(0), F(1, 5))
 
 
-def test_iaccess_exact_counts_tile_with_exact_widths():
+def test_fptas_trie_exact_counts_tile_with_exact_widths():
     x = KnapsackInstance(6, (1, 2, 3, 4))
     n = KNAP.exact_count(x)
     seen = {}
@@ -54,7 +54,7 @@ def test_iaccess_exact_counts_tile_with_exact_widths():
     assert all(w == F(1, n) for w in seen.values())
 
 
-def test_iaccess_width_window_under_extreme_noise():
+def test_fptas_trie_width_window_under_extreme_noise():
     x = generate_knapsack(10, seed=5)
     n = KNAP.exact_count(x)
     fptas = noisy_counter(KNAP, seed=5)
@@ -68,7 +68,7 @@ def test_iaccess_width_window_under_extreme_noise():
         assert hit.solution in brute_force_solutions(KNAP, x)
 
 
-def test_iaccess_is_consistent_within_session():
+def test_fptas_trie_is_consistent_within_session():
     # deterministic counter => same seed, same answer, and intervals nest
     x = generate_knapsack(8, seed=9)
     fptas = noisy_counter(KNAP, seed=9)
@@ -81,7 +81,7 @@ def test_iaccess_is_consistent_within_session():
         (c.solution, c.low, c.high)
 
 
-def test_iaccess_empty_branch_raises():
+def test_fptas_trie_empty_branch_raises():
     def zero_counter(x, eps):
         return 0
 
@@ -91,10 +91,10 @@ def test_iaccess_empty_branch_raises():
 
 def test_bernoulli_less_edges_and_mean():
     rng = random.Random(0)
-    assert not bernoulli_less(rng, F(0))
-    assert bernoulli_less(rng, F(1))
+    assert not bernoulli_less(rng, 0, 1)
+    assert bernoulli_less(rng, 1, 1)
     n = 20_000
-    hits = sum(bernoulli_less(rng, F(3, 8)) for _ in range(n))
+    hits = sum(bernoulli_less(rng, 3, 8) for _ in range(n))
     # 3 sigma around 3/8
     sigma = (n * F(3, 8) * F(5, 8)) ** Fraction(1, 2)
     assert abs(hits - n * F(3, 8)) < 3 * float(sigma)
@@ -102,7 +102,7 @@ def test_bernoulli_less_edges_and_mean():
 
 def test_bernoulli_less_dyadic_threshold_terminates():
     rng = random.Random(2)
-    hits = sum(bernoulli_less(rng, F(1, 4)) for _ in range(8000))
+    hits = sum(bernoulli_less(rng, 1, 4) for _ in range(8000))
     assert abs(hits - 2000) < 3 * (8000 * 0.25 * 0.75) ** 0.5
 
 
@@ -126,8 +126,8 @@ def test_bernoulli_less_exact_law_on_every_bit_string(length):
     # sampling noise; no draw reads more than L bits
     scripts = list(itertools.product((0, 1), repeat=length))
     for p in range(2 ** length + 1):
-        t = F(p, 2 ** length)
-        assert sum(bernoulli_less(ScriptedBits(s), t) for s in scripts) == p
+        assert sum(bernoulli_less(ScriptedBits(s), p, 2 ** length)
+                   for s in scripts) == p
 
 
 def fraction_bernoulli_less(rng, threshold):
@@ -162,19 +162,24 @@ THRESHOLDS = st.integers(1, 1 << 130).flatmap(
     lambda b: st.builds(F, st.integers(-b, 2 * b), st.just(b)))
 
 
-@given(THRESHOLDS, st.integers(0, 2 ** 32))
-@example(F(0), 0)
-@example(F(1), 0)
-@example(F(1, 4), 1)
-@example(F(3, 8), 2)
-@example(F(1, 4) + F(1, 1 << 128), 3)
-@example(F(1) - F(1, 1 << 128), 4)
-def test_integer_acceptance_matches_the_fraction_loop(threshold, seed):
-    # same answer and the same random bits read, for both tests
+@given(THRESHOLDS, st.integers(1, 1 << 40), st.integers(0, 2 ** 32))
+@example(F(0), 1, 0)
+@example(F(1), 1, 0)
+@example(F(1, 4), 1, 1)
+@example(F(3, 8), 1, 2)
+@example(F(1, 4) + F(1, 1 << 128), 1, 3)
+@example(F(1) - F(1, 1 << 128), 1, 4)
+@example(F(3, 8), 6, 2)
+@example(F(1, 4), 1 << 40, 5)
+@example(F(1) - F(1, 1 << 128), 3, 4)
+def test_integer_acceptance_matches_the_fraction_loop(threshold, k, seed):
+    # the pair (k*a, k*b) of threshold a/b, unreduced for k > 1, gives the
+    # same answer and reads the same random bits, for both tests
+    a, b = k * threshold.numerator, k * threshold.denominator
     for test, reference in ((bernoulli_less, fraction_bernoulli_less),
                             (guarded_accept, fraction_guarded_accept)):
         rng, ref = random.Random(seed), random.Random(seed)
-        assert test(rng, threshold) == reference(ref, threshold)
+        assert test(rng, a, b) == reference(ref, threshold)
         assert rng.getstate() == ref.getstate()
 
 

@@ -270,28 +270,38 @@ def test_emissions_are_the_solutions_and_tile_the_span(
 
 
 def test_every_split_asks_for_one_eps():
-    # one accuracy per trie: every split at 1/(8*d0), the root at 1/3
-    x = generate_knapsack(7, seed=4)
-    asked = []  # (instance, eps) of every counter call
+    # one accuracy and one failure budget per trie: every split at
+    # 1/(8*d0), the root at 1/3, and each randomized call at
+    # delta/2**(d0+1); a slave asks for no root estimate
+    x, delta = generate_knapsack(7, seed=4), F(1, 10)
+    budget = delta / 2 ** 8
+    asked = []  # (instance, eps, failure budget) of every counter call
 
     def fptas(y, eps):
-        asked.append((y, eps))
+        asked.append((y, eps, None))
         return KNAP.exact_count(y)
 
     def fpras(y, eps, fail_budget):
-        return fptas(y, eps)
+        asked.append((y, eps, fail_budget))
+        return KNAP.exact_count(y)
 
-    sessions = [
-        lambda: list(aia_enumerate(KNAP, fptas, x, random.Random(1))),
-        lambda: list(axa_enumerate(KNAP, fpras, x, F(1, 10),
-                                   random.Random(1))),
-        lambda: master_phase1(KNAP, fpras, x, F(1, 10), 3),
+    slave = master_phase1(KNAP, fpras, x, delta, 3)[0][1]
+    root = [(F(1, 3), budget)]
+    sessions = [  # (session, its split budget, its root calls)
+        (lambda: list(aia_enumerate(KNAP, fptas, x, random.Random(1))),
+         None, [(F(1, 3), None)]),
+        (lambda: list(axa_enumerate(KNAP, fpras, x, delta,
+                                    random.Random(1))), budget, root),
+        (lambda: master_phase1(KNAP, fpras, x, delta, 3), budget, root),
+        (lambda: list(slave_session(KNAP, fpras, x, slave,
+                                    random.Random(1))[0]), budget, []),
     ]
-    for session in sessions:
+    for session, fail_budget, root_calls in sessions:
         asked.clear()
         session()
-        assert [eps for y, eps in asked if y == x] == [F(1, 3)]
-        assert {eps for y, eps in asked if y != x} == {F(1, 8 * 7)}
+        assert [(eps, b) for y, eps, b in asked if y == x] == root_calls
+        assert {(eps, b) for y, eps, b in asked if y != x} == \
+            {(F(1, 8 * 7), fail_budget)}
 
 
 def leaf_intervals(trie):
