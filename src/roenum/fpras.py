@@ -26,28 +26,35 @@ class PrefixDictionary:
     """Write-once map from bit-string prefixes to count estimates.
 
     Entries are never overwritten, which is what makes the partition a
-    fixed function of the dictionary contents. Preloaded entries (the
-    boundary pieces a master hands to slaves) are tracked separately so
-    tests can assert no slave recomputes them.
+    fixed function of the dictionary contents. It stores the entries, the
+    keys it was preloaded with (the boundary pieces a master hands to
+    slaves), its hits and its midpoint fallbacks; the keys it computed
+    itself and its misses are derived from the first two, so tests can
+    assert no slave recomputes a preloaded entry.
     """
 
     def __init__(self, preloaded: dict[str, int] | None = None):
         self.entries: dict[str, int] = dict(preloaded or {})
         self.preloaded = frozenset(self.entries)
-        self.computed: set[str] = set()
         self.hits = 0
-        self.misses = 0
         self.midpoint_fallbacks = 0  # diagnostic: adversarial all-zero estimates
+
+    @property
+    def computed(self) -> set[str]:
+        """The keys of the entries this dictionary computed itself."""
+        return self.entries.keys() - self.preloaded
+
+    @property
+    def misses(self) -> int:
+        """Lookups whose `compute` returned: one per computed entry."""
+        return len(self.entries) - len(self.preloaded)
 
     def lookup(self, prefix: str, compute: Callable[[], int]) -> int:
         value = self.entries.get(prefix)
         if value is not None:
             self.hits += 1
             return value
-        self.misses += 1
-        value = compute()
-        self.entries[prefix] = value
-        self.computed.add(prefix)
+        value = self.entries[prefix] = compute()
         return value
 
     def piece(self, prefixes) -> dict[str, int]:

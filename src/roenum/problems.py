@@ -206,10 +206,11 @@ class SimulatedOracles:
     The FPTAS is a mathematical function of (instance, eps): identical calls
     always return identical values, as the consistency arguments require.
 
-    Each draw hashes the bytes of repr((tag, key, eps, ...)) for the tag
-    'noise', 'edge' or 'fail'. Only repr(key) is rendered per call: the
-    fragments after it are rendered once per accuracy, from a config that
-    stays fixed for the life of the oracles.
+    Each draw hashes the bytes of one repr, rendered at the call from the
+    instance key, the accuracy eps and delta_fail as `Fraction`s, and the
+    config: repr((tag, key, eps, seed)) for the noise and edge draws, tag
+    'noise' or 'edge', and repr(('fail', key, eps, delta_fail, seed,
+    nonce)) for the failure draw.
     """
 
     def __init__(self, problem: SelfReducibleProblem,
@@ -218,10 +219,6 @@ class SimulatedOracles:
         self.config = config or SimulatedOracleConfig()
         self.calls: dict[str, int] = {"exact": 0, "fptas": 0, "fpras": 0}
         self.failures = 0
-        # (p, q) of eps -> (p, q, tail b", eps, seed)")
-        self._noise_tails: dict[tuple[int, int], tuple[int, int, bytes]] = {}
-        # (p, q, p', q') of (eps, delta_fail) -> (p', q', tail)
-        self._fail_tails: dict[tuple, tuple[int, int, bytes]] = {}
 
     def exact(self, x) -> int:
         self.calls["exact"] += 1
@@ -230,54 +227,31 @@ class SimulatedOracles:
     def fptas(self, x, eps: Fraction) -> int:
         self.calls["fptas"] += 1
         return self._estimate(self.problem.instance_key(x),
-                              self._accuracy(eps), self.problem.exact_count(x))
+                              _as_fraction(eps), self.problem.exact_count(x))
 
     def fpras(self, x, eps: Fraction, delta_fail: Fraction) -> int:
         self.calls["fpras"] += 1
-        accuracy = self._accuracy(eps)
+        eps = _as_fraction(eps)
         exact = self.problem.exact_count(x)
         key = self.problem.instance_key(x)
-        fail = key in self.config.forced_failures
+        cfg = self.config
+        fail = key in cfg.forced_failures
         if not fail:
-            dp, dq, tail = self._failure_budget(accuracy, delta_fail)
-            if dp > 0:
-                h = _hash_unit(b"('fail', " + repr(key).encode() + tail)
-                fail = h * dq < dp << 64  # h / 2**64 < delta_fail
+            delta_fail = _as_fraction(delta_fail)
+            if delta_fail.numerator > 0:
+                h = _hash_unit(repr(("fail", key, eps, delta_fail, cfg.seed,
+                                     cfg.nonce)).encode())
+                # h / 2**64 < delta_fail
+                fail = (h * delta_fail.denominator
+                        < delta_fail.numerator << 64)
         if fail:
             self.failures += 1
-            return exact * self.config.failure_distortion
-        return self._estimate(key, accuracy, exact)
+            return exact * cfg.failure_distortion
+        return self._estimate(key, eps, exact)
 
-    def _accuracy(self, eps) -> tuple[int, int, bytes]:
-        """(p, q, tail) for eps = p/q, tail the bytes of ', eps, seed)'
-        that end the noise and edge hash inputs."""
-        eps = _as_fraction(eps)
-        pq = eps.numerator, eps.denominator
-        accuracy = self._noise_tails.get(pq)
-        if accuracy is None:
-            tail = f", {eps!r}, {self.config.seed!r})".encode()
-            accuracy = self._noise_tails[pq] = (*pq, tail)
-        return accuracy
-
-    def _failure_budget(self, accuracy: tuple[int, int, bytes], delta_fail
-                        ) -> tuple[int, int, bytes]:
-        """(p', q', tail) for delta_fail = p'/q', tail the bytes of
-        ', eps, delta_fail, seed, nonce)' that end the fail hash input."""
-        delta_fail = _as_fraction(delta_fail)
-        p, q, _ = accuracy
-        dp, dq = delta_fail.numerator, delta_fail.denominator
-        budget = self._fail_tails.get((p, q, dp, dq))
-        if budget is None:
-            cfg = self.config
-            tail = (f", {Fraction(p, q)!r}, {delta_fail!r}, {cfg.seed!r}, "
-                    f"{cfg.nonce!r})").encode()
-            budget = self._fail_tails[(p, q, dp, dq)] = (dp, dq, tail)
-        return budget
-
-    def _estimate(self, key: tuple, accuracy: tuple[int, int, bytes],
-                  exact: int) -> int:
+    def _estimate(self, key: tuple, eps: Fraction, exact: int) -> int:
         """The simulated FPTAS value for an instance, given its key, its
-        accuracy from `_accuracy` and its count. The noise band is
+        accuracy and its count. The noise band is
         [ceil(exact*(1-eps)), floor(exact*(1+eps))], each end at least 1,
         in integer arithmetic on eps = p/q."""
         if exact == 0:
@@ -285,14 +259,15 @@ class SimulatedOracles:
         mode = self.config.noise_mode
         if mode == "none":
             return exact
-        p, q, tail = accuracy
+        p, q = eps.numerator, eps.denominator
         lo = max(-(-exact * (q - p) // q), 1)
         hi = max(exact * (q + p) // q, 1)
+        seed = self.config.seed
         if mode == "hash":
-            h = _hash_unit(b"('noise', " + repr(key).encode() + tail)
+            h = _hash_unit(repr(("noise", key, eps, seed)).encode())
             return lo + (h * (hi - lo + 1) >> 64)  # lo + floor(h/2**64 * span)
         if mode == "extreme":
-            h = _hash_unit(b"('edge', " + repr(key).encode() + tail)
+            h = _hash_unit(repr(("edge", key, eps, seed)).encode())
             return hi if h >= 1 << 63 else lo  # h / 2**64 >= 1/2
         raise ValueError(f"unknown noise_mode {mode!r}")
 

@@ -14,21 +14,24 @@ from roenum import cli
 
 README = Path(__file__).parents[1] / "README.md"
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+FILE_EXTENSIONS = {"py", "md", "json", "toml", "txt", "csv"}
 MODULES = {info.name for info in pkgutil.iter_modules(roenum.__path__)}
 CLI_BLOCK = re.compile(r"^## CLI\n.*?^```sh\n(.*?)^```", re.M | re.S)
 
 
 def roenum_names(text: str) -> list[str]:
     """The backticked dotted names of `text` headed by roenum code, in
-    order of first use."""
+    order of first use; a file name such as `trie.py` is not one."""
     names = dict.fromkeys(DOTTED.findall(text))
     return [n for n in names
-            if n.split(".")[0] in MODULES or n.split(".")[0] in roenum.__all__]
+            if n.rsplit(".", 1)[1] not in FILE_EXTENSIONS
+            and (n.split(".")[0] in MODULES
+                 or n.split(".")[0] in roenum.__all__)]
 
 
 def test_names_are_found_by_both_kinds_of_head():
     text = ("`parallel.dequeue` and `SelfReductionTrie.descend`, "
-            "not `fractions.Fraction`, `x` or `poly % 2`")
+            "not `fractions.Fraction`, `x`, `poly % 2` or the file `trie.py`")
     assert roenum_names(text) == ["parallel.dequeue",   # a roenum module
                                   "SelfReductionTrie.descend"]  # an export
 

@@ -31,6 +31,20 @@ def test_dictionary_write_once():
     assert d.computed == {"0"}
 
 
+def test_dictionary_compute_that_raises_leaves_no_entry():
+    d = PrefixDictionary({"0": 3})
+
+    def fail():
+        raise RuntimeError("counter failed")
+
+    with pytest.raises(RuntimeError):
+        d.lookup("1", fail)
+    assert d.entries == {"0": 3}
+    assert d.misses == 0 and d.computed == set() and d.hits == 0
+    assert d.lookup("1", lambda: 5) == 5  # a later compute still runs
+    assert d.misses == 1 and d.computed == {"1"}
+
+
 def test_dictionary_preloaded_tracked_separately():
     d = PrefixDictionary({"0": 3, "1": 5})
     assert d.lookup("0", lambda: 0) == 3

@@ -13,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "roenum").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+BENCH = sorted((ROOT / "bench").glob("*.py"))  # import scan only
 
 
 def exported(node) -> list[str]:
@@ -91,7 +92,7 @@ def test_scan_finds_an_unused_import():
     assert unused_imports("from .m import f\n__all__ = ['f']\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES,
+@pytest.mark.parametrize("path", [*MODULES, *BENCH],
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from roenum import parallel
+from roenum.fpras import PrefixDictionary
 from roenum.parallel import (DegeneratePartition, boundary_piece_keys,
                              dequeue, master_phase1, prefill_target,
                              pswor_run, run_parallel, weighted_pick)
@@ -53,9 +54,20 @@ def test_master_phase1_degenerate_m():
                       F(1, 10), 8)
 
 
-def test_slaves_reuse_boundary_pieces():
+def test_slaves_reuse_boundary_pieces(monkeypatch):
     # every preloaded boundary entry must be served from the piece, never
     # recomputed by the slave's own counter
+    recomputed = []
+    real_lookup = PrefixDictionary.lookup
+
+    def lookup(self, prefix, compute):
+        def tracked():
+            if prefix in self.preloaded:
+                recomputed.append(prefix)
+            return compute()
+        return real_lookup(self, prefix, tracked)
+
+    monkeypatch.setattr(PrefixDictionary, "lookup", lookup)
     x = generate_knapsack(10, seed=7)
     factory = default_oracle_factory(KNAP, noise_mode="hash", seed=7)
     result = run_parallel(KNAP, x, F(1, 20), 4, seed=7,
@@ -64,9 +76,11 @@ def test_slaves_reuse_boundary_pieces():
     for a, d in zip(result.assignments, result.slave_dicts):
         assert d.preloaded == frozenset(a.piece)
         assert not (d.computed & d.preloaded)
+        assert d.piece(a.piece) == a.piece  # no preloaded entry overwritten
         # the piece holds exactly the master's entries for the boundary keys
         for key, value in a.piece.items():
             assert result.master_dict.entries[key] == value
+    assert recomputed == []
 
 
 class FixedDraw:
@@ -206,6 +220,16 @@ def test_run_parallel_max_outputs_truncates():
                           oracle_factory=default_oracle_factory(ALLBITS),
                           max_outputs=5, q_override=1)
     assert len(result.outputs) == 5
+    assert not result.complete
+
+
+def test_run_parallel_max_outputs_zero_ends_at_the_prefill():
+    result = run_parallel(ALLBITS, 5, F(1, 10), 2, seed=9,
+                          oracle_factory=default_oracle_factory(ALLBITS),
+                          s_ticks=10, t_ticks=30, q_override=3,
+                          max_outputs=0)
+    assert result.outputs == [] and result.gaps == []
+    assert result.makespan == result.prefill_tick == 3 * 10 + 30
     assert not result.complete
 
 

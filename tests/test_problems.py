@@ -351,7 +351,7 @@ def test_hash_input_is_the_repr_of_its_parts(instance, eps, delta_fail, seed,
                 noise_mode=mode, seed=seed, nonce=nonce))
             sim.fptas(x, eps)
             sim.fpras(x, eps, delta_fail)
-            sim.fptas(x, eps)  # the tail now comes from the cache
+            sim.fptas(x, eps)  # a repeated call hashes the same bytes
         noise = repr((tag, *parts)).encode()
         assert hashed == [noise, fail, noise, noise]
 
