@@ -62,10 +62,11 @@ class Knapsack(SelfReducibleProblem):
     name = "knapsack"
 
     def __init__(self, budget: int = 200_000_000):
-        self.budget = budget  # cap on the bits the suffix chains hold
-        # sizes suffix -> (capacity, slot width b, polynomial P)
-        self._chain: dict[tuple, tuple[int, int, int]] = {}
-        self._chain_bits = 0  # bits of the chains built since the last clear
+        self.budget = budget  # cap on the bits of the one chain held
+        # the suffix chain of the last root built, at capacity _cap with
+        # slot width _b: sizes suffix -> polynomial P
+        self._chain: dict[tuple, int] = {}
+        self._cap = self._b = 0
 
     def zeta(self, x: KnapsackInstance) -> int:
         return len(x.sizes)
@@ -109,30 +110,30 @@ class Knapsack(SelfReducibleProblem):
         A residual (a suffix S[k:], capacity c <= C) is then a read: cut
         P_k to its low c+1 slots and sum them as that integer modulo
         2**b - 1 (2**b = 1 there), which is exact because the sum is at
-        most 2**n < 2**b - 1. A suffix stored at a smaller capacity is
-        rebuilt, with its own suffixes, at the larger one.
+        most 2**n < 2**b - 1. Any other instance (a sizes tuple the chain
+        does not hold, or a capacity above C) builds its own chain in
+        place of the one held, unless every subset fits.
 
-        Memory: one chain holds (n+1)*(C+1)*(n+2) bits, about 0.55 MB at
-        n = 64, C = 1030. A build that would hold more than `budget` bits
-        (25 MB at the default 2*10**8) raises BudgetExceeded before it
-        allocates; when the chains held since the last clear would pass
-        the budget, they are dropped first. An instance where every
-        subset fits counts 2**n with no chain.
+        Memory: a Knapsack holds one root's chain, at most
+        (n+1)*(C+1)*(n+2) bits, about 0.55 MB at n = 64, C = 1030. A build
+        that would hold more than `budget` bits (25 MB at the default
+        2*10**8) raises BudgetExceeded before it allocates. An instance
+        where every subset fits counts 2**n with no chain.
         """
         cap = x.capacity
         if cap < 0:
             return 0
-        entry = self._chain.get(x.sizes)
-        if entry is None or entry[0] < cap:
+        poly = self._chain.get(x.sizes)
+        if poly is None or self._cap < cap:
             if cap >= sum(x.sizes) and min(x.sizes, default=0) >= 0:
                 return 1 << len(x.sizes)  # every subset fits: no chain
-            entry = self._build_chain(x.sizes, cap)
-        _, b, poly = entry
+            poly = self._build_chain(x.sizes, cap)
+        b = self._b
         return (poly & ((1 << b * (cap + 1)) - 1)) % ((1 << b) - 1)
 
-    def _build_chain(self, sizes: tuple, cap: int) -> tuple[int, int, int]:
-        """Store every suffix polynomial of `sizes` at capacity `cap`
-        (see exact_count) and return the entry of `sizes` itself."""
+    def _build_chain(self, sizes: tuple, cap: int) -> int:
+        """Replace the chain with every suffix polynomial of `sizes` at
+        capacity `cap` (see exact_count) and return that of `sizes`."""
         low = min(sizes, default=0)
         if low < 0:
             raise ValueError(f"knapsack size {low} is negative")
@@ -142,23 +143,15 @@ class Knapsack(SelfReducibleProblem):
         if bits > self.budget:
             raise BudgetExceeded(f"suffix chain of {bits} bits (n={n}, "
                                  f"C={cap}) over the {self.budget}-bit budget")
-        if self._chain_bits + bits > self.budget:
-            self._chain.clear()
-            self._chain_bits = 0
-        self._chain_bits += bits
-        chain = self._chain
+        chain = self._chain = {}
+        self._cap, self._b = cap, b
         mask = (1 << b * (cap + 1)) - 1
         poly = 1  # P_n: the empty packing
-        entry = (cap, b, poly)
         for k in range(n, -1, -1):
             if k < n and sizes[k] <= cap:
                 poly = (poly + (poly << b * sizes[k])) & mask
-                entry = (cap, b, poly)
-            suffix = sizes[k:]
-            old = chain.get(suffix)
-            if old is None or old[0] < cap:
-                chain[suffix] = entry
-        return entry
+            chain[sizes[k:]] = poly
+        return poly
 
 
 def generate_knapsack(n: int, seed: int, capacity_frac: float = 0.25) -> KnapsackInstance:

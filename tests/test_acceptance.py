@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from roenum.exact import ara_enumerate, raccess
-from roenum.fpras import axa_enumerate, root_estimate
+from roenum.fpras import PrefixDictionary, axa_enumerate, root_estimate
 from roenum.fptas import aia_enumerate
 from roenum.parallel import master_phase1, prefill_target, run_parallel
 from roenum.problem import brute_force_solutions
@@ -60,12 +60,28 @@ def corpus():
     return items
 
 
+def recording_lookup(computes: list):
+    """A `PrefixDictionary.lookup` that appends (dictionary, prefix) to
+    `computes` each time it runs `compute`."""
+    real_lookup = PrefixDictionary.lookup
+
+    def lookup(self, prefix, compute):
+        def recorded():
+            computes.append((self, prefix))
+            return compute()
+        return real_lookup(self, prefix, recorded)
+
+    return lookup
+
+
 @pytest.fixture(scope="session")
 def corpus_runs(corpus):
     """One full enumeration pass per algorithm over the corpus.
 
     exact-count AIA, hash-noise AXA (failure-free: delta = 0), hash-noise
     parallel m in {2, 4} where the instance is large enough, plus ARA.
+    Each parallel run records the (dictionary, prefix) of every `compute`
+    its dictionaries' lookups run.
     """
     t0 = time.monotonic()
     runs = []
@@ -84,15 +100,19 @@ def corpus_runs(corpus):
         entry["axa_phi"] = (F(4, 9) / root_estimate(problem, sim.fpras, x, F(0))
                             if entry["axa"] else None)
 
-        entry["parallel"] = {}
+        entry["parallel"], entry["computes"] = {}, {}
         for m in (2, 4):
             if len(brute) < 2 * m:
                 continue
             factory = default_oracle_factory(problem, noise_mode="hash",
                                              seed=_seed(label))
-            entry["parallel"][m] = run_parallel(
-                problem, x, F(1, 20), m, seed=_seed(label),
-                oracle_factory=factory)
+            computes = entry["computes"][m] = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(PrefixDictionary, "lookup",
+                              recording_lookup(computes))
+                entry["parallel"][m] = run_parallel(
+                    problem, x, F(1, 20), m, seed=_seed(label),
+                    oracle_factory=factory)
         runs.append(entry)
     print(f"[corpus pass: {time.monotonic() - t0:.1f}s]")
     return runs
@@ -276,17 +296,19 @@ def test_criterion_08_dictionary_consistency(corpus_runs):
     bad = []
     for entry in corpus_runs:
         for m, result in entry["parallel"].items():
+            computes = entry["computes"][m]
             for a, d in zip(result.assignments, result.slave_dicts):
-                if d.computed & d.preloaded:
+                if any(c is d and key in d.preloaded for c, key in computes):
                     bad.append((entry["label"], m, "piece recomputed"))
-                if len(d.entries) != len(d.computed) + len(d.preloaded):
+                if d.piece(a.piece) != a.piece:
                     bad.append((entry["label"], m, "entry overwritten"))
                 for key, value in a.piece.items():
                     if result.master_dict.entries[key] != value:
                         bad.append((entry["label"], m, "piece mismatch"))
-            md = result.master_dict
-            if len(md.entries) != len(md.computed) + len(md.preloaded):
-                bad.append((entry["label"], m, "master overwritten"))
+            for d in [result.master_dict, *result.slave_dicts]:
+                keys = [key for c, key in computes if c is d]
+                if len(keys) != len(set(keys)):
+                    bad.append((entry["label"], m, "entry recomputed"))
     _report(8, "write-once dictionary consistency", not bad, str(bad[:3]))
 
 

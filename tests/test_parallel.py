@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from roenum import parallel
-from roenum.fpras import PrefixDictionary
+from roenum.fpras import PrefixDictionary, fpras_trie
 from roenum.parallel import (DegeneratePartition, boundary_piece_keys,
                              dequeue, master_phase1, prefill_target,
                              pswor_run, run_parallel, weighted_pick)
@@ -152,6 +152,100 @@ def test_weighted_pick_exact_law(remaining):
                 assert weighted_pick(remaining, total, FixedDraw(draw)) == j
         first = end
     assert first == scale
+
+
+def draw_counts(widths, scale):
+    """How many of `scale` equally likely draws k reach each of `widths`,
+    laid end to end, when u = k/scale * total descends through them: the
+    draws of a width w after S start at ceil(S*scale/T), T the total, as
+    `weighted_pick` draws a slave and a trie draws a solution."""
+    total, before, first, counts = sum(widths), F(0), 0, []
+    for w in widths:
+        before += w
+        end = math.ceil(before * scale / total)
+        counts.append(end - first)
+        first = end
+    return counts
+
+
+def guarded_factor(ratio):
+    # AXA's guard emits without the test when the ratio is outside (1/4, 1)
+    return ratio if F(1, 4) < ratio < 1 else F(1)
+
+
+def slave_step_law(intervals, phi, depth):
+    """A slave's serial step law over the leaf intervals it has not yet
+    emitted: an attempt reaches each in its share of the 2^(depth+128)
+    draws, and accepts with probability guarded_factor(phi/width)."""
+    widths = [high - low for low, high in sorted(intervals)]
+    draws = draw_counts(widths, 1 << (max(depth, 1) + 128))
+    accepted = [d * guarded_factor(phi / w) for d, w in zip(draws, widths)]
+    mass = sum(accepted)
+    return [a / mass for a in accepted]
+
+
+def parallel_step_law_distances(problem, x, m, seed):
+    """Run `run_parallel` at delta = 0 with hash noise and Q = 1, and
+    compute before each output the exact law of that output: slave j is
+    picked in the 96-bit draws `weighted_pick` maps to it, and its next
+    record follows its serial step law. Returns the largest
+    total-variation distance from uniform over the remaining solutions,
+    with that pick and with the exact share R_j/R of the remaining width."""
+    factory = default_oracle_factory(problem, noise_mode="hash", seed=seed)
+    result = run_parallel(problem, x, F(0), m, seed=seed,
+                          oracle_factory=factory, q_override=1)
+    assert result.complete
+    # each slave's leaf intervals, walked left to right on an unbanned trie
+    trie = fpras_trie(problem, factory(0), x, F(0), PrefixDictionary())
+    left = [{} for _ in result.assignments]
+    y = F(0)
+    while y < 1:
+        hit = trie.descend(y)
+        j = next(i for i, a in enumerate(result.assignments) if y < a.high)
+        left[j][hit.solution] = (hit.low, hit.high)
+        y = hit.high
+    depth = problem.zeta(x)
+    laws = [slave_step_law(r.values(), a.phi_star, depth)
+            for r, a in zip(left, result.assignments)]
+    worst = [F(0), F(0)]
+    for record, j in zip(result.outputs, result.output_slaves):
+        uniform = F(1, sum(map(len, left)))
+        widths = [sum(high - low for low, high in r.values()) for r in left]
+        total = sum(widths)
+        picks = ([F(d, 1 << 96) for d in draw_counts(widths, 1 << 96)],
+                 [w / total for w in widths])
+        for k, pick in enumerate(picks):
+            tv = sum(abs(p * q - uniform)
+                     for p, law in zip(pick, laws) for q in law) / 2
+            worst[k] = max(worst[k], tv)
+        assert (record.low, record.high) == left[j - 1].pop(record.solution)
+        laws[j - 1] = slave_step_law(left[j - 1].values(),
+                                     result.assignments[j - 1].phi_star, depth)
+    assert not any(left)
+    return worst
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_parallel_order_is_uniform_when_widths_are_equal(m):
+    # an all-bitstrings key is the residual length, so both children of a
+    # node get one estimate and every width is equal: with the exact
+    # share the law is as close to uniform as the slaves' serial laws, and
+    # the 96-bit pick adds its resolution, one draw in 2^96 per slave
+    with_pick, exact_share = parallel_step_law_distances(ALLBITS, 7, m, 7)
+    assert exact_share <= F(1, 1 << 100)
+    assert with_pick <= F(m, 1 << 97) + F(1, 1 << 100)
+
+
+@pytest.mark.parametrize("n, seed, capacity_frac, m", [
+    (10, 4, 0.5, 4), (8, 5, 0.7, 2), (8, 5, 0.7, 3)])
+def test_parallel_order_is_biased_when_widths_are_unequal(
+        n, seed, capacity_frac, m):
+    # known bias (ROADMAP item 2): the pick follows the remaining width
+    # R_j/R, so the next output is a given solution of slave j with
+    # probability (R_j/R)/n_j, which hash noise makes unequal across slaves
+    x = generate_knapsack(n, seed=seed, capacity_frac=capacity_frac)
+    with_pick, _ = parallel_step_law_distances(KNAP, x, m, seed)
+    assert F(1, 10**3) <= with_pick <= F(1, 10**2)
 
 
 def test_prefill_target_reference_value():

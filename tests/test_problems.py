@@ -101,7 +101,7 @@ def test_reducing_past_the_capacity_leaves_a_negative_capacity():
     assert verify_self_reducibility(KS, x)
 
 
-def test_count_cache_holds_one_key_per_suffix():
+def test_chain_holds_one_key_per_suffix():
     problem = Knapsack()
     x = generate_knapsack(64, seed=3)
     words = ara_enumerate(problem, SimulatedOracles(problem).exact, x,
@@ -146,7 +146,7 @@ def test_chain_budget_bounds_the_bits_a_build_holds():
     assert problem._chain == {}
 
 
-def test_chains_past_the_budget_are_dropped():
+def test_a_new_root_replaces_the_chain():
     first = KnapsackInstance(10, (5, 7))      # 132 bits
     second = KnapsackInstance(10, (6, 8))     # 132 bits
     problem = Knapsack(budget=200)
@@ -154,6 +154,19 @@ def test_chains_past_the_budget_are_dropped():
     assert problem.exact_count(second) == 3
     assert set(problem._chain) == {(6, 8), (8,), ()}
     assert problem.exact_count(first) == 3
+
+
+def test_one_counter_holds_the_chain_of_the_root_counted_last():
+    a = generate_knapsack(12, seed=1, capacity_frac=0.4)
+    b = generate_knapsack(9, seed=2, capacity_frac=0.4)
+    assert a.sizes[-1] != b.sizes[-1]  # no suffix but () in common
+    problem = Knapsack()
+    for root in (a, b, a):
+        assert problem.exact_count(root) == loop_count(root.capacity,
+                                                       root.sizes)
+        suffixes = {root.sizes[k:] for k in range(len(root.sizes) + 1)}
+        assert set(problem._chain) <= suffixes
+        assert len(problem._chain) <= len(root.sizes) + 1
 
 
 @pytest.mark.parametrize("inst", [KnapsackInstance(3, (2, -1)),

@@ -632,9 +632,20 @@ def dictionary_case_counter(problem, x, noise):
 
 @pytest.mark.parametrize("noise", ["hash", "extreme", "forced", "zero"])
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
-def test_fpras_trie_with_and_without_dictionary_agree(case, noise):
+def test_fpras_trie_with_and_without_dictionary_agree(case, noise,
+                                                      monkeypatch):
     # the trie fixes each pivot once, so a dictionary in front of the
     # split changes no interval and no record
+    computes = []  # (dictionary, prefix) of every compute a lookup runs
+    real_lookup = PrefixDictionary.lookup
+
+    def lookup(self, prefix, compute):
+        def counted():
+            computes.append((self, prefix))
+            return compute()
+        return real_lookup(self, prefix, counted)
+
+    monkeypatch.setattr(PrefixDictionary, "lookup", lookup)
     problem, x = MEMO_CASES[case]
     delta = F(1, 10)
     _, bare = dictionary_case_counter(problem, x, noise)
@@ -652,7 +663,9 @@ def test_fpras_trie_with_and_without_dictionary_agree(case, noise):
         phi, guarded_accept))
     assert records == expected
     assert sum(r.width for r in records) == 1
-    assert dictionary.misses == len(dictionary.computed) > 0
+    ran = [key for d, key in computes if d is dictionary]
+    assert dictionary.misses == len(ran) == len(set(ran)) > 0
+    assert set(ran) == dictionary.computed
     assert (dictionary.midpoint_fallbacks > 0) == (noise == "zero")
     if noise == "forced":
         assert sim.failures > 0
