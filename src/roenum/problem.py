@@ -2,11 +2,11 @@
 
 Solutions are bit strings over {0, 1}, represented as plain Python strings
 of '0'/'1' characters; the empty string is the length-0 solution.
-Elsewhere in the package, interval endpoints and widths are
-`fractions.Fraction`s, so endpoint comparisons are exact; the acceptance
-test, the master's weighted pick and the simulated oracles work on
-integer numerators and denominators instead, comparing by
-cross-multiplication.
+Elsewhere in the package, interval endpoints, widths and banned masses
+are `fractions.Fraction`s, so endpoint comparisons are exact; the trie's
+pivots and the bounds a descent carries, the acceptance test, the
+master's weighted pick and the simulated oracles work on integer
+numerators and denominators instead, comparing by cross-multiplication.
 """
 
 from __future__ import annotations

@@ -5,12 +5,15 @@ the quasi-pivot partition gives w; its pivot splits that interval between
 the children w0 and w1. Nodes are expanded lazily, the first time a descent
 passes them, by a tier-supplied `split(prefix)` that returns the two child
 estimates (n0, n1); the pivot gives child 0 the share n0/(n0 + n1) of the
-node. Each node also holds the banned mass inside its interval, so its
-available mass is its width minus that. Drawing a seed from the unbanned
-part of [0,1) and walking it to its solution is therefore one descent, and
-banning an emission adds its width along its path. A node whose whole
-interval is banned drops its children, so a session frees each subtree it
-has drained.
+node. A pivot is stored as a reduced integer pair (num, den), made with
+one gcd, and a descent carries its node's bounds as such pairs and builds
+the three `Fraction`s of its record (endpoints and width) only at the
+leaf. Each node also holds the banned mass inside its interval, a
+`Fraction`, so its available mass is its width minus that. Drawing a seed
+from the unbanned part of [0,1) and walking it to its solution is
+therefore one descent, and banning an emission adds its width along its
+path. A node whose whole interval is banned drops its children, so a
+session frees each subtree it has drained.
 
 Both approximate tiers take their child estimates at accuracy 1/(8*d0)
 through `residual_counts`, which counts each distinct residual instance
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator
 
 from .problem import SelfReducibleProblem
@@ -70,7 +74,8 @@ class _Node:
     __slots__ = ("pivot", "left", "right", "banned")
 
     def __init__(self):
-        self.pivot: Fraction | None = None  # None until expanded
+        # the pivot num/den as a reduced pair, den > 0; None until expanded
+        self.pivot: tuple[int, int] | None = None
         self.left: _Node | None = None
         self.right: _Node | None = None
         self.banned = ZERO  # banned mass inside the node's interval
@@ -94,18 +99,19 @@ class SelfReductionTrie:
         self.depth = depth
         self.split = split
         self.root = _Node()
-        self._clip(self.root, "", ZERO, ONE, *span)
-        self.available = ONE - self.root.banned
+        self.available = ONE
+        if span != (ZERO, ONE):  # the whole of [0,1) clips nothing
+            self._clip(self.root, "", ZERO, ONE, *span)
+            self.available = ONE - self.root.banned
 
-    def _expand(self, node: _Node, word: str, low: Fraction,
-                high: Fraction) -> Fraction:
-        # low + n0/t * (high - low) over one denominator, with low = a/b,
-        # high = c/d and t = n0 + n1: one gcd normalises it
+    def _expand(self, node: _Node, word: str, a: int, b: int, c: int,
+                d: int) -> tuple[int, int]:
+        # low + n0/t * (high - low) = (a*d*n1 + c*b*n0) / (b*d*t) with
+        # low = a/b, high = c/d and t = n0 + n1: one gcd reduces it
         n0, n1 = self.split(word)
-        a, b = low.numerator, low.denominator
-        c, d = high.numerator, high.denominator
-        t, ad = n0 + n1, a * d
-        node.pivot = pivot = Fraction(ad * t + (c * b - ad) * n0, b * d * t)
+        num, den = a * d * n1 + c * b * n0, b * d * (n0 + n1)
+        g = gcd(num, den)
+        node.pivot = pivot = (num // g, den // g)
         node.left, node.right = _Node(), _Node()
         return pivot
 
@@ -116,7 +122,8 @@ class SelfReductionTrie:
         elif low < lo or hi < high:
             if len(word) == self.depth:
                 raise ValueError(f"span end inside the interval of {word!r}")
-            pivot = self._expand(node, word, low, high)
+            pivot = Fraction(*self._expand(node, word, *low.as_integer_ratio(),
+                                           *high.as_integer_ratio()))
             self._clip(node.left, word + "0", low, pivot, lo, hi)
             self._clip(node.right, word + "1", pivot, high, lo, hi)
             node.banned = node.left.banned + node.right.banned
@@ -129,20 +136,34 @@ class SelfReductionTrie:
         The walk carries r = y + (banned mass left of the current node),
         which ends as the point of [0,1) that y stands for: the left child
         holds it exactly when r plus the left child's banned mass is below
-        the pivot, and passing the left child adds that mass to r.
+        the pivot, and passing the left child adds that mass to r. The
+        walk compares r's pair with the pivot pair by cross-multiplication
+        and keeps the node's bounds low = a/b and high = c/d as pivot
+        pairs; the record's endpoints and its width (cb - ad)/(bd) become
+        `Fraction`s once, at the leaf.
         """
-        node, word, low, high, r = self.root, "", ZERO, ONE, y
+        node, word, r = self.root, "", y
+        rn, rd = y.numerator, y.denominator
+        a, b, c, d = 0, 1, 1, 1
         for _ in range(self.depth):
             pivot = node.pivot
             if pivot is None:
-                pivot = self._expand(node, word, low, high)
+                pivot = self._expand(node, word, a, b, c, d)
+            pn, pd = pivot
             left = node.left
-            shifted = r + left.banned if left.banned else r
-            if shifted < pivot:
-                node, word, high = left, word + "0", pivot
+            banned = left.banned
+            if banned:
+                shifted = r + banned
+                sn, sd = shifted.numerator, shifted.denominator
             else:
-                node, word, low, r = node.right, word + "1", pivot, shifted
-        return EmissionRecord(word, low, high, high - low)
+                shifted, sn, sd = r, rn, rd
+            if sn * pd < pn * sd:
+                node, word, c, d = left, word + "0", pn, pd
+            else:
+                node, word, a, b = node.right, word + "1", pn, pd
+                r, rn, rd = shifted, sn, sd
+        return EmissionRecord(word, Fraction(a, b), Fraction(c, d),
+                              Fraction(c * b - a * d, b * d))
 
     def ban(self, record: EmissionRecord):
         """Add the mass of a drawn solution along its path, and drop the
@@ -178,9 +199,9 @@ def enumerate_trie(trie: SelfReductionTrie, rng: random.Random,
                    ) -> Iterator[EmissionRecord]:
     """Emit every unbanned solution of the trie once, banning each.
 
-    An attempt draws y uniformly from the available mass (d + 128 random
-    bits), descends to its solution and keeps it when accept(rng, a, b)
-    holds for the unreduced pair a/b = phi_star / width.
+    An attempt draws y = u * available for a uniform u = k / 2^(d + 128),
+    built as one `Fraction`, descends to its solution and keeps it when
+    accept(rng, a, b) holds for the unreduced pair a/b = phi_star / width.
     """
     d = max(trie.depth, 1)
     bits = d + 128
@@ -194,8 +215,10 @@ def enumerate_trie(trie: SelfReductionTrie, rng: random.Random,
             if attempts > cap:
                 raise NonTerminating(f"{cap} attempts without an emission")
             tick += 1
-            u = Fraction(rng.getrandbits(bits), 1 << bits)
-            record = trie.descend(u * trie.available)
+            available = trie.available
+            record = trie.descend(Fraction(
+                rng.getrandbits(bits) * available.numerator,
+                available.denominator << bits))
             width = record.width
             if accept(rng, num * width.denominator, den * width.numerator):
                 break

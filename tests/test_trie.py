@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from roenum import trie as trie_module
 from roenum.fpras import (PrefixDictionary, axa_enumerate, fpras_trie,
                           guarded_accept, root_estimate)
 from roenum.fptas import aia_enumerate, bernoulli_less, fptas_trie
@@ -14,7 +15,7 @@ from roenum.problem import brute_force_solutions
 from roenum.problems import (AllBitstrings, Knapsack, SimulatedOracleConfig,
                              SimulatedOracles, generate_knapsack)
 from roenum.record import EmissionRecord
-from roenum.trie import SelfReductionTrie, enumerate_trie
+from roenum.trie import SelfReductionTrie, _Node, enumerate_trie
 
 F = Fraction
 KNAP = Knapsack()
@@ -166,10 +167,13 @@ ESTIMATES = st.one_of(st.just((1, 1)), st.tuples(st.just(0), ESTIMATE),
 def test_expand_pivot_matches_the_share_formula(ends, estimates):
     low, high = ends
     trie = SelfReductionTrie(1, lambda word: estimates)
-    pivot = trie._expand(trie.root, "", low, high)
-    assert pivot == old_pivot(low, high, *estimates) == trie.root.pivot
-    assert math.gcd(pivot.numerator, pivot.denominator) == 1
-    assert low <= pivot <= high
+    pair = trie._expand(trie.root, "", *low.as_integer_ratio(),
+                        *high.as_integer_ratio())
+    assert pair == trie.root.pivot
+    num, den = pair
+    assert F(num, den) == old_pivot(low, high, *estimates)
+    assert den > 0 and math.gcd(num, den) == 1
+    assert low <= F(num, den) <= high
 
 
 @pytest.mark.parametrize("count", [1, 3, 10, 100, 1000])
@@ -207,14 +211,98 @@ def test_banned_mass_consistency_after_bans():
         if node.left is None:  # unexpanded, or pruned when fully banned
             assert node.banned in (0, high - low)
             return
-        check(node.left, low, node.pivot)
-        check(node.right, node.pivot, high)
+        pivot = F(*node.pivot)
+        check(node.left, low, pivot)
+        check(node.right, pivot, high)
         assert node.banned == node.left.banned + node.right.banned
 
     check(trie.root, F(0), F(1))
     assert trie.root.banned == sum(leaves[w][1] - leaves[w][0]
                                    for w in banned)
     assert trie.available == 1 - trie.root.banned
+
+
+class FractionTrie(SelfReductionTrie):
+    """The trie with `Fraction` pivots and bounds, as the reference of the
+    pair trie. `__init__` and `ban` are shared: they read only the banned
+    masses, which are `Fraction`s in both."""
+
+    def _expand(self, node, word, low, high):
+        node.pivot = pivot = old_pivot(low, high, *self.split(word))
+        node.left, node.right = _Node(), _Node()
+        return pivot
+
+    def _clip(self, node, word, low, high, lo, hi):
+        if high <= lo or hi <= low:
+            node.banned = high - low
+        elif low < lo or hi < high:
+            if len(word) == self.depth:
+                raise ValueError(f"span end inside the interval of {word!r}")
+            pivot = self._expand(node, word, low, high)
+            self._clip(node.left, word + "0", low, pivot, lo, hi)
+            self._clip(node.right, word + "1", pivot, high, lo, hi)
+            node.banned = node.left.banned + node.right.banned
+
+    def descend(self, y):
+        node, word, low, high, r = self.root, "", F(0), F(1), y
+        for _ in range(self.depth):
+            pivot = node.pivot
+            if pivot is None:
+                pivot = self._expand(node, word, low, high)
+            left = node.left
+            shifted = r + left.banned if left.banned else r
+            if shifted < pivot:
+                node, word, high = left, word + "0", pivot
+            else:
+                node, word, low, r = node.right, word + "1", pivot, shifted
+        return EmissionRecord(word, low, high, high - low)
+
+
+def random_split(seed):
+    # per-prefix estimates: a zero on one side, one, or up to 2^64
+    def split(word):
+        rng = random.Random(f"{seed}/{word}")
+        n0, n1 = (rng.choice((0, 1, rng.getrandbits(64))) for _ in range(2))
+        return (n0, n1) if n0 + n1 else (1, 1)
+
+    return split
+
+
+def same_nodes(pair, ref):
+    """Walk two tries together: equal pivots, banned masses and shape."""
+    assert (pair.left is None) == (ref.left is None)
+    assert pair.banned == ref.banned
+    assert (pair.pivot is None) == (ref.pivot is None)
+    if pair.pivot is not None:
+        assert F(*pair.pivot) == ref.pivot
+    if pair.left is not None:
+        same_nodes(pair.left, ref.left)
+        same_nodes(pair.right, ref.right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(depth=st.integers(0, 9), seed=st.integers(0, 1 << 32),
+       draws=st.integers(0, 40), data=st.data())
+def test_pair_trie_matches_the_fraction_reference(depth, seed, draws, data):
+    split = random_split(seed)
+    ends = sorted({end for leaf in reference_leaves(split, depth).values()
+                   for end in leaf})
+    lo = data.draw(st.sampled_from(ends[:-1]))
+    hi = data.draw(st.sampled_from([e for e in ends if e > lo]))
+    pair = SelfReductionTrie(depth, split, (lo, hi))
+    ref = FractionTrie(depth, split, (lo, hi))
+    rng = random.Random(seed)
+    for _ in range(draws):
+        assert pair.available == ref.available
+        if not pair.available:
+            break
+        y = F(rng.getrandbits(64), 1 << 64) * pair.available
+        got, want = pair.descend(y), ref.descend(y)
+        assert (got.solution, got.low, got.high, got.width) == \
+            (want.solution, want.low, want.high, want.width)
+        pair.ban(got)
+        ref.ban(want)
+    same_nodes(pair.root, ref.root)
 
 
 def test_exhausted_trie_emits_nothing():
@@ -699,3 +787,30 @@ def test_slave_sessions_match_uncached_counts(case, noise):
     assert_complete(problem, x, emitted)
     if noise == "forced":
         assert failures > 0
+
+
+def test_first_emission_builds_fractions_only_for_the_record(monkeypatch):
+    # one first AIA emission on all bitstrings of length 12: no node
+    # expansion builds a Fraction, and each descent builds three, the
+    # record's endpoints and width
+    built = []
+
+    def counted_fraction(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(trie_module, "Fraction", counted_fraction)
+    made = {"_expand": [], "descend": []}  # Fractions built by each call
+    for name, calls in made.items():
+        def counted(self, *args, method=getattr(SelfReductionTrie, name),
+                    calls=calls):
+            before = len(built)
+            result = method(self, *args)
+            calls.append(len(built) - before)
+            return result
+
+        monkeypatch.setattr(SelfReductionTrie, name, counted)
+    sim = memo_oracles(ALLBITS, 12, "hash")
+    next(aia_enumerate(ALLBITS, sim.fptas, 12, random.Random(12)))
+    assert len(made["_expand"]) >= 12 and set(made["_expand"]) == {0}
+    assert made["descend"] and set(made["descend"]) == {3}
