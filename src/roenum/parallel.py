@@ -207,6 +207,8 @@ def run_parallel(problem: SelfReducibleProblem, x, delta, m: int, seed: int,
                  q_override: int | None = None,
                  max_outputs: int | None = None) -> ParallelResult:
     """Full two-phase run under the virtual clock."""
+    if mode not in ("greedy", "paced"):
+        raise ValueError(f"unknown mode {mode!r}: not 'greedy' or 'paced'")
     alpha = Fraction(alpha)
     master_rng = random.Random(seed)
 

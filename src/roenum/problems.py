@@ -181,6 +181,10 @@ class SimulatedOracleConfig:
     nonce: int = 0
     forced_failures: frozenset = frozenset()  # instance keys that always fail
 
+    def __post_init__(self):
+        if self.noise_mode not in ("none", "hash", "extreme"):
+            raise ValueError(f"unknown noise_mode {self.noise_mode!r}")
+
 
 def _hash_unit(data: bytes) -> int:
     """Deterministic pseudo-uniform 64-bit integer h from `data`, standing
@@ -259,10 +263,8 @@ class SimulatedOracles:
         if mode == "hash":
             h = _hash_unit(repr(("noise", key, eps, seed)).encode())
             return lo + (h * (hi - lo + 1) >> 64)  # lo + floor(h/2**64 * span)
-        if mode == "extreme":
-            h = _hash_unit(repr(("edge", key, eps, seed)).encode())
-            return hi if h >= 1 << 63 else lo  # h / 2**64 >= 1/2
-        raise ValueError(f"unknown noise_mode {mode!r}")
+        h = _hash_unit(repr(("edge", key, eps, seed)).encode())  # extreme
+        return hi if h >= 1 << 63 else lo  # h / 2**64 >= 1/2
 
 
 def default_oracle_factory(problem, noise_mode="none", seed=0,

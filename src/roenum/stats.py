@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from fractions import Fraction
 
 from .record import EmissionRecord
@@ -31,9 +32,23 @@ def chi_square_counts(counts: dict, expected: float) -> tuple[float, float]:
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     if len(counts) == 1:
         return stat, 1.0
-    from scipy.stats import chi2  # scipy takes ~0.8 s to import; only here
+    return stat, _chi2_sf(stat, len(counts) - 1)
 
-    return stat, float(chi2.sf(stat, len(counts) - 1))
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for X chi-square with integer df >= 1, in closed form
+    (Abramowitz & Stegun 26.4.4-26.4.5). With h = x/2 and a = (df mod 2)/2,
+    it is sum_{i < df//2} e^-h h^(i+a) / Gamma(i+a+1), plus erfc(sqrt(h))
+    for odd df. Each term is the exp of its log, so none underflows at
+    large df."""
+    h = x / 2
+    if h <= 0:  # x <= 0, or so small that x/2 is 0: log(h) is undefined
+        return 1.0
+    a = (df % 2) / 2
+    log_h = math.log(h)
+    head = math.erfc(math.sqrt(h)) if a else 0.0
+    return head + sum(math.exp((i + a) * log_h - h - math.lgamma(i + a + 1))
+                      for i in range(df // 2))
 
 
 def _position_test(orders: list[tuple], support: set[str], positions: int,

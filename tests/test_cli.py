@@ -1,9 +1,5 @@
 import csv
 import io
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -202,11 +198,3 @@ def test_uniformity_runs_are_independent_fpras_sessions(allbits_file,
     assert len(failed) == 40
     assert len({frozenset(f) for f in failed}) > 1
 
-
-def test_cli_import_does_not_load_scipy():
-    # scipy costs ~0.8 s per command; only the uniformity test needs it
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    probe = "import sys, roenum.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"

@@ -1,11 +1,13 @@
-"""Every imported name is used in the module that imports it, and every
-module-level name of the package is read somewhere.
+"""Every imported name is used in the module that imports it, every
+module-level name of the package is read somewhere, and the package
+imports nothing outside the standard library.
 
 A package `__init__.py` imports to re-export: a name listed in its
 `__all__` counts as used there.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +112,28 @@ def test_every_module_level_name_is_read():
     package = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     readers = [p.read_text() for p in MODULES]
     assert unread_names(package, readers) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """The absolute imports of `source`, lazy ones included, whose
+    top-level module is neither in the standard library nor `roenum`."""
+    heads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            heads += [(a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            heads.append((node.module.split(".")[0], node.lineno))
+    return [f"{head} (line {line})" for head, line in heads
+            if head not in sys.stdlib_module_names and head != "roenum"]
+
+
+def test_scan_finds_a_foreign_import():
+    source = ("from __future__ import annotations\nimport os.path, numpy\n"
+              "from . import stats\nfrom roenum.trie import descend\n"
+              "def f():\n    from scipy.stats import chi2\n")
+    assert foreign_imports(source) == ["numpy (line 2)", "scipy (line 6)"]
+
+
+def test_package_imports_only_the_standard_library():
+    assert [f"{path.name}: {found}" for path in PACKAGE
+            for found in foreign_imports(path.read_text())] == []

@@ -309,6 +309,14 @@ def test_run_parallel_greedy_op_cost_spacing():
     assert all(g == F(8, 2) for g in result.gaps)
 
 
+def test_run_parallel_rejects_an_unknown_mode():
+    # a misspelled mode must not run greedy in its place
+    with pytest.raises(ValueError, match="'pacde'"):
+        run_parallel(ALLBITS, 3, F(1, 10), 2, seed=0,
+                     oracle_factory=default_oracle_factory(ALLBITS),
+                     mode="pacde")
+
+
 def test_run_parallel_max_outputs_truncates():
     result = run_parallel(ALLBITS, 6, F(1, 10), 2, seed=0,
                           oracle_factory=default_oracle_factory(ALLBITS),

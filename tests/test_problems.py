@@ -190,6 +190,12 @@ def test_fptas_zero_iff_empty():
     assert sim.fptas(KnapsackInstance(2, (1,)), Fraction(1, 4)) >= 1
 
 
+def test_config_rejects_an_unknown_noise_mode():
+    # caught at construction, not at the first nonzero estimate
+    with pytest.raises(ValueError, match="'hsah'"):
+        SimulatedOracleConfig(noise_mode="hsah")
+
+
 def test_fptas_no_noise_is_exact():
     sim = SimulatedOracles(KS)
     assert sim.fptas(KnapsackInstance(3, (1, 2, 3)), Fraction(1, 8)) == 5

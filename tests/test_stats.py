@@ -1,12 +1,13 @@
 import csv
 import io
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from roenum.record import EmissionRecord
-from roenum.stats import (InsufficientRuns, chi_square_counts,
+from roenum.stats import (InsufficientRuns, _chi2_sf, chi_square_counts,
                           delay_profile, emissions_csv, first_emission_test,
                           frac_str, position_frequency_test, profile_csv,
                           uniformity_test)
@@ -37,6 +38,27 @@ def test_chi_square_uniform_counts_high_p():
 def test_chi_square_skewed_counts_low_p():
     _, p = chi_square_counts({"a": 300, "b": 0, "c": 0}, 100)
     assert p < 1e-6
+
+
+@pytest.mark.parametrize("x, df", [(10.828, 1), (13.816, 2), (24.322, 7),
+                                   (49.728, 23), (149.449, 100)])
+def test_chi2_tail_at_tabulated_critical_values(x, df):
+    # the tabulated 10^-3 upper points, given to three decimals
+    assert _chi2_sf(x, df) == pytest.approx(1e-3, rel=1e-3)
+
+
+def test_chi2_tail_low_df_closed_forms():
+    for x in (1e-9, 0.3, 1.0, 7.5, 40.0, 700.0):
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
+        assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+
+
+def test_chi2_tail_at_zero_and_monotone():
+    for df in (1, 2, 3, 50, 1001):
+        assert _chi2_sf(0, df) == 1.0
+    tail = [_chi2_sf(x, 1000) for x in range(800, 1300, 10)]
+    assert all(a > b for a, b in zip(tail, tail[1:]))
+    assert 0 < tail[-1] < 1e-6 and tail[0] > 0.999
 
 
 def test_first_emission_requires_enough_runs():
